@@ -34,6 +34,7 @@ from repro.core.messages import (
     KIND_DATA,
     KIND_NULL,
     KIND_START_GROUP,
+    KIND_VIEW_CUT,
     RefuteMessage,
     SequencerRequest,
     SuspectMessage,
@@ -323,12 +324,10 @@ class GroupEndpoint:
         """Transmit ``message`` to every other view member and loop it back
         to ourselves (a process delivers its own messages by executing the
         protocol)."""
-        size = message.wire_size_bytes()
-        for member in self.view.sorted_members():
-            if member != self.process.process_id:
-                self.process.transport_endpoint.send(
-                    member, message, channel="newtop", size_bytes=size, cause=cause
-                )
+        self.process.transport_endpoint.multicast(
+            self._peers(), message, channel="newtop",
+            size_bytes=message.wire_size_bytes(), cause=cause,
+        )
         self.time_silence.notify_sent()
         self.on_data_message(message, local_origin=True)
 
@@ -354,11 +353,14 @@ class GroupEndpoint:
         """The GV process's ``mcast`` primitive: transmit to every view
         member's GV process (delivered in sent order by the transport)."""
         size = message.wire_size_bytes() if hasattr(message, "wire_size_bytes") else 0
-        for member in self.view.sorted_members():
-            if member != self.process.process_id:
-                self.process.transport_endpoint.send(
-                    member, message, channel="newtop", size_bytes=size, cause=cause
-                )
+        self.process.transport_endpoint.multicast(
+            self._peers(), message, channel="newtop", size_bytes=size, cause=cause
+        )
+
+    def _peers(self) -> List[str]:
+        """Every view member but ourselves, in sorted order."""
+        own_id = self.process.process_id
+        return [member for member in self.view.sorted_members() if member != own_id]
 
     # ------------------------------------------------------------------
     # Receive path
@@ -369,38 +371,41 @@ class GroupEndpoint:
         ``local_origin`` marks the loop-back of our own multicast; it skips
         the membership filtering and the CA2 clock update (CA1 already ran).
         """
-        if not self.active:
+        process = self.process
+        if self.departed or process.crashed:
             return
         filter_key = message.sequenced_by or message.sender
+        gv = self.gv
         if not local_origin:
-            if self.gv.is_excluded(filter_key) or filter_key not in self.view.members:
+            if gv.is_excluded(filter_key) or filter_key not in self.view.members:
                 self.discarded_from_excluded += 1
                 if self.journeys is not None:
                     self.journeys.discarded(
-                        message.msg_id, self.process.sim.now,
-                        self.process.process_id, "excluded_sender",
+                        message.msg_id, process.sim.now,
+                        process.process_id, "excluded_sender",
                     )
                 return
-            if self.gv.is_suspected(filter_key):
-                self.gv.hold_pending(filter_key, message)
+            if gv.is_suspected(filter_key):
+                gv.hold_pending(filter_key, message)
                 if self.journeys is not None:
                     self.journeys.held(
-                        message.msg_id, self.process.sim.now,
-                        self.process.process_id, "suspected:" + filter_key,
+                        message.msg_id, process.sim.now,
+                        process.process_id, "suspected:" + filter_key,
                     )
                 return
-            self.process.clock.observe(message.clock)
-        if not local_origin and message.sender == self.process.process_id:
-            # Our unicast request came back as a sequenced multicast: the
-            # group just heard from us, so push the next liveness null out
-            # by omega (see :meth:`send_to_member` for why the unicast
-            # itself does not count).
-            self.time_silence.notify_sent()
+            process.clock.observe(message.clock)
+            if message.sender == process.process_id:
+                # Our unicast request came back as a sequenced multicast:
+                # the group just heard from us, so push the next liveness
+                # null out by omega (see :meth:`send_to_member` for why the
+                # unicast itself does not count).
+                self.time_silence.notify_sent()
         # Liveness evidence for the suspector: both the logical sender and,
         # in asymmetric groups, the sequencer that relayed the message.
-        self.suspector.heard_from(message.sender, message.clock)
+        suspector = self.suspector
+        suspector.heard_from(message.sender, message.clock)
         if message.sequenced_by is not None:
-            self.suspector.heard_from(message.sequenced_by, message.clock)
+            suspector.heard_from(message.sequenced_by, message.clock)
         # Stability (§5.1): retain the message and fold in its ldn.
         self.stability.on_message(message, key=filter_key)
         if message.sequenced_by is not None:
@@ -410,24 +415,26 @@ class GroupEndpoint:
         self.engine.on_data(message)
         # Rule (iii) hook: a fresh message may refute gossip suspicions.
         if not local_origin:
-            self.gv.on_data_from(filter_key, message.clock)
+            gv.on_data_from(filter_key, message.clock)
             if message.sender != filter_key:
-                self.gv.on_data_from(message.sender, message.clock)
-        # Formation wait (§5.3 step 5).
-        if message.is_start_group and message.start_number is not None:
-            self._on_start_group(message.sender, message.start_number)
-        # Asymmetric end-of-view marker: the sequencer placed the pending
-        # view change into its stream at this message's number.
-        if message.is_view_cut:
+                gv.on_data_from(message.sender, message.clock)
+        kind = message.kind
+        if kind == KIND_START_GROUP:
+            # Formation wait (§5.3 step 5).
+            if message.start_number is not None:
+                self._on_start_group(message.sender, message.start_number)
+        elif kind == KIND_VIEW_CUT:
+            # Asymmetric end-of-view marker: the sequencer placed the
+            # pending view change into its stream at this message's number.
             self._on_view_cut(message)
-        # Only application messages enter the delivery queue; null and
-        # start-group messages have done their job already.
-        if message.is_application:
+        elif kind == KIND_DATA:
+            # Only application messages enter the delivery queue; null,
+            # start-group and view-cut messages have done their job already.
             if not local_origin:
-                self.process.recorder.record(
-                    self.process.sim.now,
+                process.recorder.record(
+                    process.sim.now,
                     trace_events.RECEIVE,
-                    self.process.process_id,
+                    process.process_id,
                     group=self.group_id,
                     message_id=message.msg_id,
                     sender=message.sender,
@@ -436,14 +443,14 @@ class GroupEndpoint:
             if self.mode == OrderingMode.ATOMIC_ONLY:
                 # Atomic-only groups bypass the logical-clock gating
                 # entirely (Fig. 3): deliver as soon as the message arrives.
-                self.process.deliver_immediately(self, message)
+                process.deliver_immediately(self, message)
             else:
-                self.process.delivery_queue.enqueue(message)
+                process.delivery_queue.enqueue(message)
         # Per-receipt follow-up; during a transport batch it is deferred to
         # the end of the batch (one pass per simulator event).
-        if not self.process.in_receipt_batch:
-            self.process.attempt_delivery()
-            self.process.flush_deferred_sends()
+        if not process.in_receipt_batch:
+            process.attempt_delivery()
+            process.flush_deferred_sends()
 
     def on_sequencer_request(self, request: SequencerRequest) -> None:
         """Handle a unicast addressed to us as the group's sequencer."""

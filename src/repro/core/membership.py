@@ -118,6 +118,8 @@ class GroupViewProcess:
     # ------------------------------------------------------------------
     def is_suspected(self, process: str) -> bool:
         """Whether we currently hold an (unconfirmed) suspicion on ``process``."""
+        if not self._suspicions:
+            return False
         return any(suspicion.target == process for suspicion in self._suspicions)
 
     def is_excluded(self, process: str) -> bool:
@@ -242,7 +244,7 @@ class GroupViewProcess:
         """Hook from the endpoint's data path: a message numbered ``clock``
         from ``sender`` just arrived.  Used for rule (iii): it may refute
         gossip suspicions about ``sender`` with a smaller ``ln``."""
-        if self.is_suspected(sender):
+        if not self._gossip or self.is_suspected(sender):
             return
         refutable = [
             suspicion

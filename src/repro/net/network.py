@@ -40,9 +40,10 @@ MessageFilter = Callable[[str, str, object], bool]
 #: Delivery callback registered per node: ``callback(src, payload)``.
 DeliverCallback = Callable[[str, object], None]
 
-#: Optional batch delivery callback per node: ``callback([(src, payload), ...])``
-#: invoked once per delivery instant instead of once per message.
-DeliverBatchCallback = Callable[[List[Tuple[str, object]]], None]
+#: Batch delivery callback per node:
+#: ``callback([(src, payload, size_bytes), ...])``, invoked once per delivery
+#: instant instead of once per message.
+DeliverBatchCallback = Callable[[List[Tuple[str, object, int]]], None]
 
 
 @dataclass
@@ -130,8 +131,10 @@ class Network:
         self.config = config or NetworkConfig()
         self.partitions = PartitionManager()
         self.stats = NetworkStats()
-        self._deliver_callbacks: Dict[str, DeliverCallback] = {}
+        self._deliver_callbacks: Dict[str, Optional[DeliverCallback]] = {}
         self._batch_callbacks: Dict[str, DeliverBatchCallback] = {}
+        #: Scheduling label of each attached node's delivery events.
+        self._delivery_labels: Dict[str, str] = {}
         self._crashed: set[str] = set()
         self._filters: List[MessageFilter] = []
         # Link-fault decisions draw from the model's own stream so the
@@ -159,6 +162,13 @@ class Network:
         # Journey tracing (``sim.journeys`` is None unless the run asked for
         # it): drop paths report why a tracked message left the wire.
         self._journeys = sim.journeys
+        # Per-message constants of the send path, bound once.
+        config = self.config
+        self._sample_latency = config.latency_model.sample
+        self._rng = sim.rng
+        self._batch_window = config.batch_window
+        self._fifo_epsilon = config.fifo_epsilon
+        self._drop_in_flight = config.drop_in_flight_on_partition
 
     def _journey_drop(self, payload: object, reason: str) -> None:
         self._journeys.wire_dropped(payload, self.sim.now, reason)
@@ -169,20 +179,24 @@ class Network:
     def attach(
         self,
         node_id: str,
-        deliver: DeliverCallback,
+        deliver: Optional[DeliverCallback] = None,
         deliver_batch: Optional[DeliverBatchCallback] = None,
     ) -> None:
         """Register ``node_id`` with its delivery callback.
 
         When ``deliver_batch`` is given, all messages arriving at one
-        simulated instant are handed over in a single call instead of one
-        ``deliver`` call per message.
+        simulated instant are handed over in a single call (as
+        ``(src, payload, size_bytes)`` triples) and ``deliver`` may be
+        omitted; otherwise ``deliver`` is called once per message.
         """
         if node_id in self._deliver_callbacks:
             raise ValueError(f"node {node_id!r} already attached")
+        if deliver is None and deliver_batch is None:
+            raise ValueError(f"node {node_id!r} needs a delivery callback")
         self._deliver_callbacks[node_id] = deliver
         if deliver_batch is not None:
             self._batch_callbacks[node_id] = deliver_batch
+        self._delivery_labels[node_id] = f"deliver ->{node_id}"
         self.partitions.register(node_id)
 
     def detach(self, node_id: str) -> None:
@@ -239,53 +253,61 @@ class Network:
         guarantee delivery: an in-flight message can still be lost to a
         partition installed before its delivery time.
         """
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += size_bytes
-        journeys = self._journeys
-        if src in self._crashed:
-            self.stats.messages_dropped_crash += 1
-            if journeys is not None:
-                self._journey_drop(payload, "sender_crashed")
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.bytes_sent += size_bytes
+        crashed = self._crashed
+        if crashed and (src in crashed or dst in crashed):
+            stats.messages_dropped_crash += 1
+            if self._journeys is not None:
+                reason = "sender_crashed" if src in crashed else "receiver_crashed"
+                self._journey_drop(payload, reason)
             return False
-        if dst in self._crashed:
-            self.stats.messages_dropped_crash += 1
-            if journeys is not None:
-                self._journey_drop(payload, "receiver_crashed")
-            return False
-        if not self.partitions.can_communicate(src, dst):
-            self.stats.messages_dropped_partition += 1
-            if journeys is not None:
+        if self.partitions.partitioned and not self.partitions.can_communicate(src, dst):
+            stats.messages_dropped_partition += 1
+            if self._journeys is not None:
                 self._journey_drop(payload, "partition")
             return False
-        for message_filter in self._filters:
-            if not message_filter(src, dst, payload):
-                self.stats.messages_dropped_filter += 1
-                if journeys is not None:
-                    self._journey_drop(payload, "filter")
-                return False
+        if self._filters:
+            for message_filter in self._filters:
+                if not message_filter(src, dst, payload):
+                    stats.messages_dropped_filter += 1
+                    if self._journeys is not None:
+                        self._journey_drop(payload, "filter")
+                    return False
+        if self._fault_model is not None:
+            return self._send_with_link_faults(src, dst, payload, size_bytes)
+        raw_time = self.sim.now + self._sample_latency(self._rng, src, dst)
+        self._schedule_delivery(src, dst, payload, size_bytes, raw_time)
+        return True
 
-        # Link faults.  Decision order (drop, reorder, duplicate) is fixed
-        # so runs are deterministic from the fault seed; each draw happens
-        # only when its rate is non-zero, keeping zero-rate models free.
+    def _send_with_link_faults(
+        self, src: str, dst: str, payload: object, size_bytes: int
+    ) -> bool:
+        """The tail of :meth:`send` while a link-fault model is attached.
+
+        Decision order (drop, reorder, duplicate) is fixed so runs are
+        deterministic from the fault seed; each draw happens only when its
+        rate is non-zero, keeping zero-rate models free.  The latency draw
+        follows the fault draws, exactly as for a fault-free send.
+        """
+        model = self._fault_model
+        rates = model.rates_for(src, dst)
+        rng = self._fault_rng
         fault_hold = 0.0
         duplicate_delay: Optional[float] = None
-        model = self._fault_model
-        if model is not None:
-            rates = model.rates_for(src, dst)
-            rng = self._fault_rng
-            if rates.drop > 0.0 and rng.random() < rates.drop:
-                self.stats.messages_dropped_fault += 1
-                if journeys is not None:
-                    self._journey_drop(payload, "link_fault")
-                return False
-            if rates.reorder > 0.0 and rng.random() < rates.reorder:
-                fault_hold = rng.uniform(*model.reorder_delay)
-                self.stats.messages_reordered += 1
-            if rates.duplicate > 0.0 and rng.random() < rates.duplicate:
-                duplicate_delay = rng.uniform(*model.duplicate_delay)
-                self.stats.messages_duplicated += 1
-
-        delay = self.config.latency_model.sample(self.sim.rng, src, dst)
+        if rates.drop > 0.0 and rng.random() < rates.drop:
+            self.stats.messages_dropped_fault += 1
+            if self._journeys is not None:
+                self._journey_drop(payload, "link_fault")
+            return False
+        if rates.reorder > 0.0 and rng.random() < rates.reorder:
+            fault_hold = rng.uniform(*model.reorder_delay)
+            self.stats.messages_reordered += 1
+        if rates.duplicate > 0.0 and rng.random() < rates.duplicate:
+            duplicate_delay = rng.uniform(*model.duplicate_delay)
+            self.stats.messages_duplicated += 1
+        delay = self._sample_latency(self._rng, src, dst)
         raw_time = self.sim.now + delay + fault_hold
         delivered_at = self._schedule_delivery(src, dst, payload, size_bytes, raw_time)
         if duplicate_delay is not None:
@@ -320,21 +342,21 @@ class Network:
         suppressed by its stale sequence number at the endpoint.
         """
         channel = (src, dst)
-        window = self.config.batch_window
+        last = self._last_delivery_time.get(channel, -1.0)
+        window = self._batch_window
         if window > 0.0:
             # Equal delivery times on one channel are fine under batching
             # (the batch preserves send order), so no epsilon spacing --
             # otherwise every message in a burst would slip a full window.
-            earliest = self._last_delivery_time.get(channel, -1.0)
-            delivery_time = max(raw_time, earliest)
+            delivery_time = raw_time if raw_time > last else last
             # Quantise *up* so the message is never early; monotone in the
             # raw delivery time, so per-channel FIFO order is preserved.
             delivery_time = math.ceil(delivery_time / window) * window
         elif advance_fifo:
-            earliest = self._last_delivery_time.get(channel, -1.0) + self.config.fifo_epsilon
-            delivery_time = max(raw_time, earliest)
+            earliest = last + self._fifo_epsilon
+            delivery_time = raw_time if raw_time > earliest else earliest
         else:
-            delivery_time = max(raw_time, self._last_delivery_time.get(channel, -1.0))
+            delivery_time = raw_time if raw_time > last else last
         if advance_fifo:
             self._last_delivery_time[channel] = delivery_time
         key = (dst, delivery_time)
@@ -346,7 +368,7 @@ class Network:
                 delivery_time,
                 self._deliver_batch,
                 key,
-                label=f"deliver ->{dst}",
+                label=self._delivery_labels.get(dst) or f"deliver ->{dst}",
             )
         batch.append((src, payload, size_bytes))
         return delivery_time
@@ -374,41 +396,46 @@ class Network:
         Drop checks (crash, in-flight partition) are still per message --
         a partition installed mid-flight must lose exactly the messages
         that crossed it -- but the scheduling overhead is paid once per
-        batch instead of once per message.
+        batch instead of once per message.  A node with a batch callback
+        receives the surviving ``(src, payload, size_bytes)`` triples as
+        they are.
         """
         dst = key[0]
         messages = self._open_batches.pop(key, None)
         if not messages:
             return
         journeys = self._journeys
+        stats = self.stats
         if dst in self._crashed:
-            self.stats.messages_dropped_crash += len(messages)
+            stats.messages_dropped_crash += len(messages)
             if journeys is not None:
                 for _, payload, _ in messages:
                     self._journey_drop(payload, "receiver_crashed")
             return
-        drop_in_flight = self.config.drop_in_flight_on_partition
-        surviving: List[Tuple[str, object, int]] = []
-        for src, payload, size_bytes in messages:
-            if drop_in_flight and not self.partitions.can_communicate(src, dst):
-                self.stats.messages_dropped_partition += 1
+        if self._drop_in_flight and self.partitions.partitioned:
+            can_communicate = self.partitions.can_communicate
+            surviving: List[Tuple[str, object, int]] = []
+            for message in messages:
+                if can_communicate(message[0], dst):
+                    surviving.append(message)
+                    continue
+                stats.messages_dropped_partition += 1
                 if journeys is not None:
-                    self._journey_drop(payload, "partition_in_flight")
-                continue
-            surviving.append((src, payload, size_bytes))
-        if not surviving:
-            return
-        callback = self._deliver_callbacks.get(dst)
+                    self._journey_drop(message[1], "partition_in_flight")
+            if not surviving:
+                return
+            messages = surviving
         batch_callback = self._batch_callbacks.get(dst)
+        callback = self._deliver_callbacks.get(dst)
         if callback is None and batch_callback is None:
-            self.stats.messages_dropped_crash += len(surviving)
+            stats.messages_dropped_crash += len(messages)
             return
-        self.stats.messages_delivered += len(surviving)
-        self.stats.bytes_delivered += sum(size for _, _, size in surviving)
+        stats.messages_delivered += len(messages)
+        stats.bytes_delivered += sum([message[2] for message in messages])
         if batch_callback is not None:
-            batch_callback([(src, payload) for src, payload, _ in surviving])
+            batch_callback(messages)
         else:
-            for src, payload, _ in surviving:
+            for src, payload, _ in messages:
                 callback(src, payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

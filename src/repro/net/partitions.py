@@ -13,7 +13,10 @@ the simulation substrate supports:
 * querying whether two nodes can currently communicate.
 
 Nodes not mentioned in any component form an implicit final component of
-their own, so tests only need to enumerate the interesting sides.
+their own, so tests only need to enumerate the interesting sides.  That
+includes nodes registered while a partition is installed: they join the
+implicit final component (created empty when the layout listed every
+node).
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ class PartitionManager:
         self._nodes: Set[str] = set(nodes or ())
         # node -> component index; None means "no partition installed".
         self._component_of: Optional[Dict[str, int]] = None
+        #: Index of the implicit final component (unlisted nodes).
+        self._leftover_index = 0
+        #: Whether a partition is currently installed.  A plain attribute,
+        #: read by the network on every send.
+        self.partitioned = False
         self._history: List[Tuple[float, str]] = []
 
     # ------------------------------------------------------------------
@@ -42,20 +50,17 @@ class PartitionManager:
     def register(self, node: str) -> None:
         """Make the partition manager aware of ``node``.
 
-        Nodes registered after a partition is installed join component 0
-        implicitly (they are considered connected to the first component).
+        Nodes registered while a partition is installed join the implicit
+        final component, the one holding the nodes the layout did not list.
         """
         self._nodes.add(node)
+        if self._component_of is not None:
+            self._component_of.setdefault(node, self._leftover_index)
 
     @property
     def nodes(self) -> Set[str]:
         """All nodes known to the partition manager."""
         return set(self._nodes)
-
-    @property
-    def partitioned(self) -> bool:
-        """Whether a partition is currently installed."""
-        return self._component_of is not None
 
     # ------------------------------------------------------------------
     # Installing / healing partitions
@@ -79,6 +84,8 @@ class PartitionManager:
         for node in self._nodes:
             component_of.setdefault(node, leftover_index)
         self._component_of = component_of
+        self._leftover_index = leftover_index
+        self.partitioned = True
         self._history.append((at_time, self.describe()))
 
     def isolate(self, node: str, at_time: float = 0.0) -> None:
@@ -89,6 +96,7 @@ class PartitionManager:
     def heal(self, at_time: float = 0.0) -> None:
         """Remove any installed partition; the network becomes fully connected."""
         self._component_of = None
+        self.partitioned = False
         self._history.append((at_time, "healed"))
 
     # ------------------------------------------------------------------
@@ -98,10 +106,11 @@ class PartitionManager:
         """Whether a message from ``a`` can currently reach ``b``."""
         if a == b:
             return True
-        if self._component_of is None:
+        component_of = self._component_of
+        if component_of is None:
             return True
-        leftover = max(self._component_of.values(), default=0)
-        return self._component_of.get(a, leftover) == self._component_of.get(b, leftover)
+        leftover = self._leftover_index
+        return component_of.get(a, leftover) == component_of.get(b, leftover)
 
     def component_of(self, node: str) -> Optional[int]:
         """Index of the component containing ``node`` (None when healed)."""

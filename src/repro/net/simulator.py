@@ -44,7 +44,9 @@ built from these primitives.
 from __future__ import annotations
 
 import heapq
+import math
 import random
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable, List, Optional
 
@@ -54,13 +56,14 @@ class SimulatorError(RuntimeError):
 
 
 class _ScheduledEvent:
-    """Internal heap entry.
+    """Internal event record.
 
-    Ordered by ``(time, sequence)`` so that events scheduled for the same
-    instant fire in the order they were scheduled (stable, deterministic).
-    Plain ``__slots__`` class (not a dataclass): these records are the
-    hottest allocation in the whole simulator and are recycled via the
-    kernel's free list, with ``generation`` guarding stale handles.
+    Fired in ``(time, sequence)`` order so that events scheduled for the
+    same instant fire in the order they were scheduled (stable,
+    deterministic).  Plain ``__slots__`` class (not a dataclass): these
+    records are the hottest allocation in the whole simulator and are
+    recycled via the kernel's free list, with ``generation`` guarding stale
+    handles.
     """
 
     __slots__ = (
@@ -80,10 +83,9 @@ class _ScheduledEvent:
         #: than the heap (drives the O(1) cancellation path).
         self.in_wheel = False
 
-    def __lt__(self, other: "_ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
+
+#: Sort key of an event record: the global firing order.
+_firing_order = attrgetter("time", "sequence")
 
 
 class EventHandle:
@@ -235,7 +237,7 @@ class _TimerWheel:
                     self._recycle(event)
                 else:
                     live.append(event)
-            live.sort()
+            live.sort(key=_firing_order)
             self._current = live
             self._current_pos = 0
 
@@ -306,7 +308,8 @@ class Simulator:
         journeys=None,
     ) -> None:
         self._now: float = 0.0
-        self._heap: list[_ScheduledEvent] = []
+        #: ``(time, sequence, record)`` entries.
+        self._heap: List[tuple] = []
         self._next_sequence = 0
         self._events_processed = 0
         self._running = False
@@ -405,20 +408,21 @@ class Simulator:
                 )
         if self._c_scheduled is not None:
             self._c_scheduled.value += 1
-        event = self._new_event()
-        event.time = self._now + delay
-        event.sequence = self._next_sequence
-        self._next_sequence += 1
+        free = self._free
+        event = free.pop() if free else _ScheduledEvent()
+        event.time = time = self._now + delay
+        event.sequence = sequence = self._next_sequence
+        self._next_sequence = sequence + 1
         event.callback = callback
         event.args = args
         event.label = label
         timer_wheel = self._wheel
         if wheel and timer_wheel is not None:
-            slot_index = timer_wheel.slot_for(event.time)
+            slot_index = timer_wheel.slot_for(time)
             if timer_wheel.accepts(slot_index):
                 timer_wheel.insert(event, slot_index)
                 return EventHandle(self, event)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, sequence, event))
         return EventHandle(self, event)
 
     def schedule_at(
@@ -443,41 +447,11 @@ class Simulator:
 
         Returns ``True`` if an event was executed, ``False`` if the queue
         was empty (only cancelled events or nothing at all).
-
-        The heap and the timer wheel are merged here by the global
-        ``(time, sequence)`` key, so the firing order is independent of
-        which store an event was placed in.
         """
-        heap_event = self._peek_heap()
-        timer_wheel = self._wheel
-        wheel_event = timer_wheel.peek() if timer_wheel is not None else None
-        if heap_event is None and wheel_event is None:
+        event = self._pop_due(math.inf)
+        if event is None:
             return False
-        if wheel_event is None or (heap_event is not None and heap_event < wheel_event):
-            event = heapq.heappop(self._heap)
-        else:
-            event = timer_wheel.pop()
-        if event.time < self._now:
-            raise SimulatorError("event queue corrupted: time went backwards")
-        callback = event.callback
-        args = event.args
-        self._now = event.time
-        self._events_processed += 1
-        if self._c_fired is not None:
-            self._c_fired.value += 1
-        profiler = self.profiler
-        if profiler is not None:
-            # The label must be captured before recycling clears it.
-            label = event.label
-            self._recycle(event)
-            start = perf_counter()
-            callback(*args)
-            profiler.record_event(label, perf_counter() - start)
-            return True
-        # Recycle before invoking: the callback frequently schedules new
-        # events, which can then reuse this record immediately.
-        self._recycle(event)
-        callback(*args)
+        self._fire(event)
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -492,19 +466,18 @@ class Simulator:
         if self._running:
             raise SimulatorError("Simulator.run is not re-entrant")
         self._running = True
+        deadline = math.inf if until is None else until
+        pop_due = self._pop_due
+        fire = self._fire
         executed = 0
         try:
             while True:
                 if max_events is not None and executed >= max_events:
                     return
-                # Peek at the next non-cancelled event (heap or wheel).
-                next_event = self._peek()
-                if next_event is None:
+                event = pop_due(deadline)
+                if event is None:
                     break
-                if until is not None and next_event.time > until:
-                    break
-                if not self.step():
-                    break
+                fire(event)
                 executed += 1
             if until is not None and self._now < until:
                 self._now = until
@@ -527,41 +500,72 @@ class Simulator:
         if predicate():
             return True
         while executed < max_events:
-            next_event = self._peek()
-            if next_event is None or next_event.time > deadline:
+            event = self._pop_due(deadline)
+            if event is None:
                 break
-            self.step()
+            self._fire(event)
             executed += 1
             if predicate():
                 return True
         return predicate()
 
-    def _peek(self) -> Optional[_ScheduledEvent]:
-        """Return the next non-cancelled event without executing it."""
-        heap_event = self._peek_heap()
+    def _pop_due(self, deadline: float) -> Optional[_ScheduledEvent]:
+        """Remove and return the next live event if it is due at or before
+        ``deadline``; ``None`` (nothing removed) otherwise.
+
+        The heap and the timer wheel are merged here by the global
+        ``(time, sequence)`` key, so the firing order is independent of
+        which store an event was placed in.  Cancelled entries at the top
+        of the heap are discarded on the way.
+        """
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            self._cancelled_in_heap -= 1
+            self._recycle(heapq.heappop(heap)[2])
         timer_wheel = self._wheel
         wheel_event = timer_wheel.peek() if timer_wheel is not None else None
-        if heap_event is None:
-            return wheel_event
-        if wheel_event is None:
-            return heap_event
-        return heap_event if heap_event < wheel_event else wheel_event
+        if heap:
+            time, sequence, event = heap[0]
+            if (
+                wheel_event is None
+                or time < wheel_event.time
+                or (time == wheel_event.time and sequence < wheel_event.sequence)
+            ):
+                if time > deadline:
+                    return None
+                heapq.heappop(heap)
+                return event
+        if wheel_event is None or wheel_event.time > deadline:
+            return None
+        return timer_wheel.pop()
 
-    def _peek_heap(self) -> Optional[_ScheduledEvent]:
-        """Next live heap event, discarding cancelled entries at the top."""
-        while self._heap and self._heap[0].cancelled:
-            self._cancelled_in_heap -= 1
-            self._recycle(heapq.heappop(self._heap))
-        return self._heap[0] if self._heap else None
+    def _fire(self, event: _ScheduledEvent) -> None:
+        """Advance the clock to ``event`` and run its callback."""
+        if event.time < self._now:
+            raise SimulatorError("event queue corrupted: time went backwards")
+        callback = event.callback
+        args = event.args
+        self._now = event.time
+        self._events_processed += 1
+        if self._c_fired is not None:
+            self._c_fired.value += 1
+        profiler = self.profiler
+        if profiler is not None:
+            # The label must be captured before recycling clears it.
+            label = event.label
+            self._recycle(event)
+            start = perf_counter()
+            callback(*args)
+            profiler.record_event(label, perf_counter() - start)
+            return
+        # Recycle before invoking: the callback frequently schedules new
+        # events, which can then reuse this record immediately.
+        self._recycle(event)
+        callback(*args)
 
     # ------------------------------------------------------------------
     # Event-record lifecycle (free list + lazy-deletion compaction)
     # ------------------------------------------------------------------
-    def _new_event(self) -> _ScheduledEvent:
-        if self._free:
-            return self._free.pop()
-        return _ScheduledEvent()
-
     def _recycle(self, event: _ScheduledEvent) -> None:
         """Retire an event record that left the heap.
 
@@ -603,11 +607,11 @@ class Simulator:
         if self._cancelled_in_heap <= heap_size * self.compaction_threshold:
             return
         live = []
-        for event in self._heap:
-            if event.cancelled:
-                self._recycle(event)
+        for entry in self._heap:
+            if entry[2].cancelled:
+                self._recycle(entry[2])
             else:
-                live.append(event)
+                live.append(entry)
         heapq.heapify(live)
         self._heap = live
         self._cancelled_in_heap = 0

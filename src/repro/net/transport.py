@@ -140,10 +140,9 @@ class Endpoint:
         """Register a handler invoked once per delivery *instant* with every
         message that arrived on ``channel`` at that instant, in send order.
 
-        A batch handler supersedes the per-message handler for batched
-        arrivals (the per-message handler still serves the single-message
-        delivery path).  FIFO checking and the per-message stats are
-        performed before the batch handler runs.  Protocols use this to pay
+        A batch handler supersedes the per-message handler on its channel.
+        FIFO checking and the per-message stats are performed before the
+        batch handler runs.  Protocols use this to pay
         per-receipt follow-up work (delivery attempts, deferred-send
         flushes) once per instant instead of once per message.
         """
@@ -164,56 +163,11 @@ class Endpoint:
         size_bytes: int = 0,
         cause: Optional[str] = None,
     ) -> bool:
-        """Unicast ``payload`` to ``dst`` on ``channel``.
-
-        ``cause`` names the root cause that made this send happen
-        (``app_multicast``, ``null_time_silence``, ``suspicion_gossip``,
-        ``confirm_refute``, ``formation``, ``failover_resend``,
-        ``view_cut``, ...); when observed, every send is counted into
-        ``transport.sends_by_cause.<cause>`` and the counters exactly
-        partition the ``transport.sends`` total.  Call sites that thread
-        no cause fall back to a derivation from the payload itself.
-        """
-        if self._crashed:
-            return False
-        key = (dst, channel)
-        seqno = self._next_outgoing.get(key, 0) + 1
-        self._next_outgoing[key] = seqno
-        message = TransportMessage(
-            src=self.node_id,
-            dst=dst,
-            channel=channel,
-            payload=payload,
-            seqno=seqno,
-            size_bytes=size_bytes,
-            sent_at=self.transport.network.sim.now,
-        )
-        self.stats.sent += 1
-        self.stats.bytes_sent += size_bytes
-        self.stats.per_channel_sent[channel] = self.stats.per_channel_sent.get(channel, 0) + 1
-        kind_counters = self.transport._sent_kind_counters
-        if kind_counters is not None:
-            kind = getattr(payload, "kind", None) or type(payload).__name__
-            counter = kind_counters.get(kind)
-            if counter is None:
-                counter = kind_counters[kind] = self.transport._metrics.counter(
-                    "transport.sent." + kind
-                )
-            counter.value += 1
-            # Cause attribution: bumped in the same branch as the total, so
-            # sum(transport.sends_by_cause.*) == transport.sends holds by
-            # construction.
-            self.transport._c_sends.value += 1
-            if cause is None:
-                cause = _derive_cause(kind, payload)
-            cause_counters = self.transport._cause_counters
-            cause_counter = cause_counters.get(cause)
-            if cause_counter is None:
-                cause_counter = cause_counters[cause] = self.transport._metrics.counter(
-                    "transport.sends_by_cause." + cause
-                )
-            cause_counter.value += 1
-        return self.transport.network.send(self.node_id, dst, message, size_bytes=size_bytes)
+        """Unicast ``payload`` to ``dst`` on ``channel``: a one-destination
+        :meth:`multicast`.  Returns whether the network accepted it."""
+        return self.multicast(
+            (dst,), payload, channel=channel, size_bytes=size_bytes, cause=cause
+        ) == 1
 
     def multicast(
         self,
@@ -226,11 +180,63 @@ class Endpoint:
         """Unicast ``payload`` to every destination (including possibly self).
 
         Destinations are contacted in sorted order so simulations are
-        deterministic.  Returns the number of accepted sends.
+        deterministic; each gets its own envelope with its channel's next
+        sequence number.  Stats and counters are bumped once for the whole
+        fan-out, by the number of destinations; the network sees one send
+        per destination.  Returns the number of sends the network accepted.
+
+        ``cause`` names the root cause that made this send happen
+        (``app_multicast``, ``null_time_silence``, ``suspicion_gossip``,
+        ``confirm_refute``, ``formation``, ``failover_resend``,
+        ``view_cut``, ...); when observed, every send is counted into
+        ``transport.sends_by_cause.<cause>`` and the counters exactly
+        partition the ``transport.sends`` total.  Call sites that thread
+        no cause fall back to a derivation from the payload itself.
         """
+        if self._crashed:
+            return 0
+        targets = sorted(set(dsts))
+        count = len(targets)
+        if not count:
+            return 0
+        stats = self.stats
+        stats.sent += count
+        stats.bytes_sent += size_bytes * count
+        stats.per_channel_sent[channel] = stats.per_channel_sent.get(channel, 0) + count
+        transport = self.transport
+        kind_counters = transport._sent_kind_counters
+        if kind_counters is not None:
+            kind = getattr(payload, "kind", None) or type(payload).__name__
+            counter = kind_counters.get(kind)
+            if counter is None:
+                counter = kind_counters[kind] = transport._metrics.counter(
+                    "transport.sent." + kind
+                )
+            counter.value += count
+            # Cause attribution: bumped in the same branch as the total, so
+            # sum(transport.sends_by_cause.*) == transport.sends holds by
+            # construction.
+            transport._c_sends.value += count
+            if cause is None:
+                cause = _derive_cause(kind, payload)
+            cause_counters = transport._cause_counters
+            cause_counter = cause_counters.get(cause)
+            if cause_counter is None:
+                cause_counter = cause_counters[cause] = transport._metrics.counter(
+                    "transport.sends_by_cause." + cause
+                )
+            cause_counter.value += count
+        network = transport.network
+        now = network.sim.now
+        src = self.node_id
+        next_outgoing = self._next_outgoing
         accepted = 0
-        for dst in sorted(set(dsts)):
-            if self.send(dst, payload, channel=channel, size_bytes=size_bytes, cause=cause):
+        for dst in targets:
+            key = (dst, channel)
+            seqno = next_outgoing.get(key, 0) + 1
+            next_outgoing[key] = seqno
+            message = TransportMessage(src, dst, channel, payload, seqno, size_bytes, now)
+            if network.send(src, dst, message, size_bytes):
                 accepted += 1
         return accepted
 
@@ -254,8 +260,9 @@ class Endpoint:
         """Process every message that arrived at one simulated instant.
 
         The network hands same-instant arrivals over in a single call (one
-        scheduled event per destination per instant); FIFO checking and the
-        stats remain per message.  Channels with a registered batch handler
+        scheduled event per destination per instant) as
+        ``(src, envelope, size_bytes)`` triples; FIFO checking and the stats
+        remain per message.  Channels with a registered batch handler
         receive all their same-instant messages in one call *after* the
         per-message channels dispatched (in practice all protocol traffic
         shares one channel, so a batch is single-channel).
@@ -263,22 +270,46 @@ class Endpoint:
         batch_hist = self.transport._batch_hist
         if batch_hist is not None:
             batch_hist.record(len(items))
+        stats = self.stats
+        next_expected = self._next_expected
+        batch_handlers = self._batch_handlers
         grouped: Optional[Dict[str, List[TransportMessage]]] = None
-        for src, raw in items:
+        for src, message, size_bytes in items:
             if self._crashed:
                 return
-            message = self._ingest(src, raw)
-            if message is None:
-                continue
-            batch_handler = self._batch_handlers.get(message.channel)
-            if batch_handler is None:
-                handler = self._handlers.get(message.channel, self._default_handler)
+            channel = message.channel
+            key = (src, channel)
+            expected = next_expected.get(key, 1)
+            if message.seqno < expected:
+                if self.transport.network.link_fault_model is not None:
+                    # A duplicated frame: the fault model re-delivers copies
+                    # of frames the channel has already moved past.  A
+                    # sequenced transport absorbs those silently -- suppress
+                    # and count.
+                    stats.duplicates_suppressed += 1
+                    continue
+                raise FifoViolationError(
+                    f"{self.node_id}: duplicate/out-of-order message from {src} "
+                    f"on {channel}: seqno {message.seqno} < expected {expected}"
+                )
+            # Gaps are legal: they correspond to messages lost to crashes or
+            # partitions (the network never re-orders within a channel, so a
+            # larger-than-expected seqno means the intermediate ones are
+            # gone for good, which is exactly the paper's loss model).
+            next_expected[key] = message.seqno + 1
+            stats.received += 1
+            stats.bytes_received += size_bytes
+            stats.per_channel_received[channel] = (
+                stats.per_channel_received.get(channel, 0) + 1
+            )
+            if channel not in batch_handlers:
+                handler = self._handlers.get(channel, self._default_handler)
                 if handler is not None:
                     handler(message)
                 continue
             if grouped is None:
                 grouped = {}
-            grouped.setdefault(message.channel, []).append(message)
+            grouped.setdefault(channel, []).append(message)
         if grouped is None:
             return
         profiler = self.transport._profiler
@@ -286,7 +317,7 @@ class Endpoint:
             for channel, messages in grouped.items():
                 if self._crashed:
                     return
-                self._batch_handlers[channel](messages)
+                batch_handlers[channel](messages)
             return
         # Timed as a *nested* section: this wall time is a subset of the
         # enclosing delivery callback's category, not additive with it.
@@ -294,49 +325,8 @@ class Endpoint:
         for channel, messages in grouped.items():
             if self._crashed:
                 break
-            self._batch_handlers[channel](messages)
+            batch_handlers[channel](messages)
         profiler.record("protocol_receive", perf_counter() - start)
-
-    def _on_network_delivery(self, src: str, raw: object) -> None:
-        message = self._ingest(src, raw)
-        if message is None:
-            return
-        handler = self._handlers.get(message.channel, self._default_handler)
-        if handler is not None:
-            handler(message)
-
-    def _ingest(self, src: str, raw: object) -> Optional[TransportMessage]:
-        """FIFO-check and account one arrival; returns the validated message
-        (or ``None`` when the endpoint has crashed)."""
-        if self._crashed:
-            return None
-        if not isinstance(raw, TransportMessage):  # pragma: no cover - substrate misuse
-            raise TypeError(f"unexpected payload on the wire: {raw!r}")
-        message = raw
-        key = (src, message.channel)
-        expected = self._next_expected.get(key, 1)
-        if message.seqno < expected:
-            if self.transport.network.link_fault_model is not None:
-                # A duplicated frame: the fault model re-delivers copies of
-                # frames the channel has already moved past.  A sequenced
-                # transport absorbs those silently -- suppress and count.
-                self.stats.duplicates_suppressed += 1
-                return None
-            raise FifoViolationError(
-                f"{self.node_id}: duplicate/out-of-order message from {src} "
-                f"on {message.channel}: seqno {message.seqno} < expected {expected}"
-            )
-        # Gaps are legal: they correspond to messages lost to crashes or
-        # partitions (the network never re-orders within a channel, so a
-        # larger-than-expected seqno means the intermediate ones are gone
-        # for good, which is exactly the paper's loss model).
-        self._next_expected[key] = message.seqno + 1
-        self.stats.received += 1
-        self.stats.bytes_received += message.size_bytes
-        self.stats.per_channel_received[message.channel] = (
-            self.stats.per_channel_received.get(message.channel, 0) + 1
-        )
-        return message
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self._crashed else "up"
@@ -372,11 +362,7 @@ class Transport:
         if node_id in self._endpoints:
             return self._endpoints[node_id]
         endpoint = Endpoint(self, node_id)
-        self.network.attach(
-            node_id,
-            endpoint._on_network_delivery,
-            deliver_batch=endpoint._on_network_delivery_batch,
-        )
+        self.network.attach(node_id, deliver_batch=endpoint._on_network_delivery_batch)
         self._endpoints[node_id] = endpoint
         return endpoint
 

@@ -303,3 +303,85 @@ def test_two_member_group_partition_each_continues_alone():
     cluster.run(120)
     assert cluster["P1"].view("g").members == frozenset({"P1"})
     assert cluster["P2"].view("g").members == frozenset({"P2"})
+
+
+# ----------------------------------------------------------------------
+# Delivery-pass guard and the receive-path suspicion queries
+# ----------------------------------------------------------------------
+def test_delivery_pass_installs_a_pending_view_with_an_empty_queue():
+    from repro.core.endpoint import PendingViewChange
+
+    cluster = _cluster(["P1", "P2", "P3"], seed=15)
+    cluster.create_group("g")
+    cluster.run(5)
+    process = cluster["P1"]
+    endpoint = process.endpoint("g")
+    assert process.delivery_queue.pending_count() == 0
+    # Nothing pending: the pass is a no-op.
+    assert process.attempt_delivery() == 0
+    assert process.view("g").index == 0
+    assert process.view("g").members == frozenset({"P1", "P2", "P3"})
+    # A view change waiting to install must still install although no
+    # message is pending.
+    endpoint.pending_view_changes.append(
+        PendingViewChange(removed=frozenset({"P3"}), threshold=0)
+    )
+    assert process.attempt_delivery() == 0
+    assert not endpoint.pending_view_changes
+    assert process.view("g").index == 1
+    assert process.view("g").members == frozenset({"P1", "P2"})
+
+
+def test_suspicion_queries_follow_add_refute_and_confirm():
+    from repro.core.messages import RefuteMessage, SuspectMessage, Suspicion
+
+    cluster = _cluster(["P1", "P2", "P3"], seed=16)
+    cluster.create_group("g")
+    cluster.run(5)
+    gv = cluster["P1"].endpoint("g").gv
+    sent_refutes = lambda: gv.stats.refute_messages_sent
+    assert not gv.is_suspected("P3")
+
+    # Add: a local suspicion of P3.
+    suspicion = Suspicion(target="P3", last_number=0)
+    gv.on_suspector_notification(suspicion)
+    assert gv.is_suspected("P3")
+    assert not gv.is_suspected("P2")
+    # Data from a suspected sender never refutes anything.
+    before = sent_refutes()
+    gv.on_data_from("P3", 10**6)
+    assert sent_refutes() == before
+
+    # Refute: P2 refutes our suspicion, which cancels it.
+    gv.on_membership_message(
+        "P2", RefuteMessage(origin="P2", group="g", suspicion=suspicion)
+    )
+    assert not gv.is_suspected("P3")
+
+    # Gossip: P2 suspects P3 at a number above everything we hold, so
+    # rule (iii) waits for newer data from P3.
+    gossip = Suspicion(target="P3", last_number=10**6)
+    gv.on_membership_message(
+        "P2", SuspectMessage(origin="P2", group="g", suspicion=gossip)
+    )
+    before = sent_refutes()
+    gv.on_data_from("P3", 10**6)  # not above ln: no refute
+    gv.on_data_from("P2", 10**6 + 1)  # another sender: no refute
+    assert sent_refutes() == before
+    gv.on_data_from("P3", 10**6 + 1)
+    assert sent_refutes() == before + 1
+    gv.on_data_from("P3", 10**6 + 2)  # the gossip is gone
+    assert sent_refutes() == before + 1
+
+    # Confirm: we suspect P3 at the last number we hold from it, and P2,
+    # the only other member, supports exactly that record.
+    held = cluster["P1"].endpoint("g").membership_clock_of("P3")
+    confirmed = Suspicion(target="P3", last_number=held)
+    gv.on_suspector_notification(confirmed)
+    assert gv.is_suspected("P3")
+    gv.on_membership_message(
+        "P2", SuspectMessage(origin="P2", group="g", suspicion=confirmed)
+    )
+    assert not gv.is_suspected("P3")
+    assert gv.is_excluded("P3")
+    assert frozenset({confirmed}) in gv.detection_history

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.net.faults import LinkFaultModel
 from repro.net.latency import (
     ConstantLatency,
     ExponentialLatency,
@@ -15,7 +16,7 @@ from repro.net.latency import (
 from repro.net.network import Network, NetworkConfig
 from repro.net.partitions import PartitionManager
 from repro.net.simulator import Simulator
-from repro.net.transport import Transport
+from repro.net.transport import FifoViolationError, Transport
 
 
 # ----------------------------------------------------------------------
@@ -108,6 +109,34 @@ def test_partition_rejects_duplicate_membership():
     manager = PartitionManager(["a", "b"])
     with pytest.raises(ValueError):
         manager.partition([["a"], ["a", "b"]])
+
+
+def test_partition_listing_every_node_puts_late_nodes_in_a_final_component():
+    manager = PartitionManager(["a", "b", "c"])
+    manager.partition([["a"], ["b", "c"]])
+    manager.register("late")
+    # No listed node is implicit, so the late node is alone in the final
+    # component rather than joining the last listed one.
+    assert not manager.can_communicate("late", "b")
+    assert not manager.can_communicate("late", "a")
+    assert not manager.can_communicate("unknown", "c")
+    assert manager.can_communicate("late", "unknown")
+    assert manager.component_of("late") == 2
+    assert manager.components() == [{"a"}, {"b", "c"}, {"late"}]
+
+
+def test_partition_with_leftover_nodes_puts_late_nodes_with_the_leftovers():
+    manager = PartitionManager(["a", "b", "c", "d"])
+    manager.partition([["a"], ["b"]])
+    manager.register("late")
+    assert manager.can_communicate("late", "c")
+    assert manager.can_communicate("late", "d")
+    assert not manager.can_communicate("late", "a")
+    assert not manager.can_communicate("late", "b")
+    assert manager.component_of("late") == manager.component_of("c") == 2
+    manager.heal()
+    assert manager.can_communicate("late", "a")
+    assert not manager.partitioned
 
 
 def test_self_communication_always_possible():
@@ -203,6 +232,27 @@ def test_network_multicast_counts_accepted():
     assert accepted == 2
 
 
+def test_network_attach_needs_a_callback():
+    _, network = _make_network()
+    with pytest.raises(ValueError):
+        network.attach("a")
+
+
+def test_network_batch_only_node_receives_triples():
+    sim, network = _make_network()
+    batches = []
+    network.attach("a", lambda src, payload: None)
+    network.attach("b", deliver_batch=batches.append)
+    network.send("a", "b", "x", size_bytes=3)
+    network.send("a", "b", "y", size_bytes=4)
+    sim.run()
+    assert [message for batch in batches for message in batch] == [
+        ("a", "x", 3),
+        ("a", "y", 4),
+    ]
+    assert network.stats.bytes_delivered == 7
+
+
 def test_network_duplicate_attach_rejected():
     _, network = _make_network()
     network.attach("a", lambda src, payload: None)
@@ -283,3 +333,107 @@ def test_transport_endpoint_reused_for_same_node():
     assert first is second
     assert transport.get("a") is first
     assert transport.get("missing") is None
+
+
+def test_transport_rejects_out_of_order_frames_without_a_fault_model():
+    sim = Simulator(seed=2)
+    network = Network(sim, NetworkConfig(latency_model=ConstantLatency(1.0)))
+    transport = Transport(network)
+    sender = transport.endpoint("s")
+    transport.endpoint("r").register_default_handler(lambda msg: None)
+    sender.send("r", "first")
+    sim.run()
+    # Reuse a sequence number: a FIFO substrate must never deliver that.
+    sender._next_outgoing[("r", "data")] = 0
+    sender.send("r", "again")
+    with pytest.raises(FifoViolationError):
+        sim.run()
+
+
+# ----------------------------------------------------------------------
+# Fan-out: one multicast call == one send per destination
+# ----------------------------------------------------------------------
+class _DropLog:
+    """Journey stub: records every wire drop the network reports."""
+
+    def __init__(self):
+        self.drops = []
+
+    def wire_dropped(self, payload, now, reason):
+        self.drops.append((payload.src, payload.dst, payload.seqno, now, reason))
+
+
+def _fanout_run(use_multicast):
+    """Same-seed traffic through every drop path, sent either as one
+    ``multicast`` per fan-out or as a loop of ``send``."""
+    drops = _DropLog()
+    sim = Simulator(seed=17, journeys=drops)
+    faults = LinkFaultModel(drop=0.1, reorder=0.2, duplicate=0.2, seed=3)
+    network = Network(
+        sim, NetworkConfig(latency_model=UniformLatency(0.5, 1.5), link_faults=faults)
+    )
+    transport = Transport(network)
+    nodes = [f"n{index}" for index in range(7)]
+    endpoints = {node: transport.endpoint(node) for node in nodes}
+    arrivals = []
+    for node in nodes:
+        endpoints[node].register_handler(
+            "data",
+            lambda msg, node=node: arrivals.append(
+                (node, msg.src, msg.seqno, msg.payload, msg.sent_at, sim.now)
+            ),
+        )
+    accepted = []
+
+    def transmit(sender, dsts, payload):
+        endpoint = endpoints[sender]
+        if use_multicast:
+            accepted.append(endpoint.multicast(dsts, payload, size_bytes=10))
+        else:
+            accepted.append(sum(endpoint.send(dst, payload, size_bytes=10) for dst in dsts))
+
+    def fan_out(round_index):
+        for sender in nodes[:4]:
+            dsts = [node for node in nodes if node != sender]
+            transmit(sender, dsts, (sender, round_index))
+        # A fan-out to nobody (a singleton view) must count nothing.
+        transmit("n4", [], ("n4", round_index))
+
+    for round_index in range(30):
+        sim.schedule(0.25 * round_index, fan_out, round_index)
+    # A crashed destination from the start; a partition (dropping at send
+    # and in flight) from t=2 to t=4; a partial-crash filter from t=3.
+    network.crash("n6")
+    sim.schedule(2.0, network.partitions.partition, [["n0", "n1", "n2"]])
+    sim.schedule(4.0, network.partitions.heal)
+    sim.schedule(
+        3.0,
+        network.add_filter,
+        lambda src, dst, payload: src != "n1" or dst in ("n0", "n2"),
+    )
+    sim.run()
+    return {
+        "accepted": accepted,
+        "arrivals": arrivals,
+        "drops": drops.drops,
+        "network": network.stats.snapshot(),
+        "transport": [endpoints[node].stats for node in nodes],
+        "seqnos": [sorted(endpoints[node]._next_outgoing.items()) for node in nodes],
+        "rng": sim.rng.getstate(),
+        "now": sim.now,
+    }
+
+
+def test_transport_multicast_matches_a_loop_of_sends():
+    fanned = _fanout_run(use_multicast=True)
+    looped = _fanout_run(use_multicast=False)
+    assert fanned == looped
+    # Every drop path was exercised.
+    reasons = {drop[-1] for drop in fanned["drops"]}
+    assert reasons >= {
+        "receiver_crashed", "partition", "partition_in_flight", "filter", "link_fault"
+    }
+    assert fanned["network"]["messages_reordered"] > 0
+    assert fanned["network"]["messages_duplicated"] > 0
+    assert sum(stats.duplicates_suppressed for stats in fanned["transport"]) > 0
+    assert fanned["arrivals"]
