@@ -13,8 +13,8 @@ ever adds time), and fails when the metrics arm is more than
 ``--tolerance`` (default 10%) slower or the journeys arm more than
 ``--journeys-tolerance`` (default 15%) slower.
 
-The two arms are seed-identical by construction (pinned functionally by
-``tests/test_hot_path_equivalence.py``); this gate pins the *cost* side,
+The arms are seed-identical by construction (pinned functionally by the
+observation tests in ``tests/test_hot_path_equivalence.py``); this gate pins the *cost* side,
 so a future change that accidentally turns a counter bump into a dict
 lookup per event shows up in the PR that introduces it.
 

@@ -17,9 +17,10 @@ simulation runtime carries:
   through one transport batch, paying delivery attempts and deferred-send
   flushes once per instant instead of once per message.
 
-All three are behaviour-preserving (equivalence tests pin seed-identical
-results against the reference heap/dict/per-message paths); this benchmark
-tracks the *throughput* those layers buy, as ``events_per_second`` in
+Each is the only implementation of its concept; their behaviour is pinned
+by the golden trace fingerprints in ``tests/test_hot_path_equivalence.py``
+(recorded where they still matched the old heap/dict/per-message paths).
+This benchmark tracks the *throughput* those layers buy, as ``events_per_second`` in
 ``BENCH_single_scale.json``.  CI runs the smoke scale (1,000 processes /
 50 groups) and fails when the measured rate drops more than 30% below the
 committed baseline (``benchmarks/baselines/single_scale.json``), so a
@@ -106,7 +107,8 @@ def run_single_scale(scale=None, observe=None):
 
     ``observe`` attaches a :mod:`repro.obs` observation ("metrics" or
     "full") and adds its snapshot to the summary as ``"obs"`` -- the run's
-    numbers are identical either way (pinned by the equivalence tests).
+    numbers are identical either way (pinned by the observation tests in
+    ``tests/test_hot_path_equivalence.py``).
     """
     scale = SMOKE_SCALE if scale is None else scale
     config = single_scale_config(scale)
@@ -180,8 +182,8 @@ def test_single_scale(benchmark):
         f"{payload['run_seconds']}s -> {payload['events_per_second']} events/sec",
         f"delivery latency: mean {latency['mean']:.2f}, p99 {latency['p99']:.2f} "
         f"over {latency['count']} samples (exact reservoir)",
-        "timer wheel + slab state + delivery batching, seed-identical to the "
-        "reference heap/dict/per-message paths",
+        "timer wheel + slab state + delivery batching, pinned by golden "
+        "trace fingerprints",
     ]
     RESULTS.add_table("E23 single-simulation scale (hot-path refactor)", table)
     assert payload["passed"]

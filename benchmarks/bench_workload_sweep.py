@@ -326,7 +326,8 @@ def observed_cell(scale, observe):
     block -- sampler time series, messages-per-delivery curve and (with
     ``observe="full"``) the profiler/span breakdowns -- for the E21 JSON.
     Re-running the cell is sound because observation never changes a
-    cell's numbers (pinned by the hot-path equivalence tests).
+    cell's numbers (pinned by the observation tests in
+    ``tests/test_hot_path_equivalence.py``).
     """
     spec = _spec(
         scale,

@@ -21,6 +21,7 @@ protocol state.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
 from repro.analysis.checkers import CheckResult, check_all
@@ -43,6 +44,18 @@ from repro.baselines.psync import PsyncProcess
 from repro.core.config import NewtopConfig, OrderingMode
 from repro.core.process import NewtopProcess
 from repro.net.trace import CRASH, EventTrace, VIEW_INSTALL
+
+#: Names a ``protocol`` mapping may carry: the :class:`NewtopConfig`
+#: fields.  Baselines ignore their values, but every stack rejects any
+#: other name, so a stale or misspelt knob fails instead of silently
+#: running the defaults.
+_PROTOCOL_PARAMETERS = frozenset(field.name for field in fields(NewtopConfig))
+
+
+def _check_protocol_names(protocol: Optional[Mapping]) -> None:
+    unknown = sorted(set(protocol or ()) - _PROTOCOL_PARAMETERS)
+    if unknown:
+        raise StackError(f"unknown protocol parameter(s): {', '.join(unknown)}")
 
 
 class NewtopStack(ProtocolStack):
@@ -69,6 +82,7 @@ class NewtopStack(ProtocolStack):
         if isinstance(protocol, NewtopConfig):
             self.config = protocol.validate()
         else:
+            _check_protocol_names(protocol)
             self.config = NewtopConfig(**dict(protocol or {})).validate()
 
     def spawn(self, process_id: str) -> None:
@@ -171,6 +185,7 @@ class BaselineStack(ProtocolStack):
     def attach(self, context: StackContext, protocol: Optional[Mapping] = None) -> None:
         # Baselines have no protocol knobs; Newtop-specific overrides
         # (suspicion timeouts etc.) are deliberately ignored.
+        _check_protocol_names(protocol)
         super().attach(context, protocol)
 
     def spawn(self, process_id: str) -> None:

@@ -108,10 +108,7 @@ class GroupEndpoint:
             # in that mode.
             self.engine = SymmetricOrdering(self)
         self.stability = StabilityTracker(
-            group_id,
-            members,
-            retention_limit=config.retention_limit,
-            use_slab=config.use_slab_state,
+            group_id, members, retention_limit=config.retention_limit
         )
         metrics = process.sim.metrics
         self.flow = FlowController(

@@ -105,11 +105,7 @@ class NewtopProcess:
         self.config = (config or NewtopConfig()).validate()
         self.recorder = recorder if recorder is not None else TraceRecorder()
         self.transport_endpoint = transport.endpoint(process_id)
-        self.transport_endpoint.register_handler("newtop", self._on_transport_message)
-        if self.config.batch_receipts:
-            self.transport_endpoint.register_batch_handler(
-                "newtop", self._on_transport_batch
-            )
+        self.transport_endpoint.register_batch_handler("newtop", self._on_transport_batch)
         self.clock = LamportClock()
         self.delivery_queue = DeliveryQueue()
         metrics = sim.metrics
@@ -410,7 +406,10 @@ class NewtopProcess:
 
         While true, the per-receipt delivery pass in
         :meth:`GroupEndpoint.on_data_message` is suppressed; one pass runs
-        at the end of the batch instead.
+        at the end of the batch instead.  Loopback of the process's own
+        sends and the replay of messages buffered before a formed group's
+        activation can reach ``on_data_message`` outside any batch; those
+        run their own pass.
         """
         return self._in_receipt_batch
 
@@ -418,10 +417,14 @@ class NewtopProcess:
         """Drain every receipt that arrived at this instant, then run a
         single delivery pass and deferred-send flush for the whole batch.
 
-        The delivery *sequence* is unchanged: safe2 pops messages from the
-        sorted queue under a monotone bound, so delivering after the last
-        receipt of an instant yields the same stream as delivering after
-        each one (pinned by the batching equivalence test).
+        Each process's delivery sequence is the one a pass after every
+        receipt would give: safe2 pops messages from the sorted queue under
+        a monotone bound.  The trace *interleaving* can differ: under
+        reorder link faults a batch can hold a receipt that makes a message
+        deliverable followed by another receipt, and the batch records both
+        ``receive`` events before the ``deliver`` where a pass per receipt
+        would record the ``deliver`` in between.  The golden trace
+        fingerprints pin this path as it is.
         """
         self._in_receipt_batch = True
         try:

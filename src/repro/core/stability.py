@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.messages import DataMessage
-from repro.core.vectors import INFINITY as _INF, make_stability_vector
+from repro.core.vectors import INFINITY as _INF, StabilityVector
 
 
 class RetentionBuffer:
@@ -181,10 +181,9 @@ class StabilityTracker:
         group: str,
         members: Iterable[str],
         retention_limit: Optional[int] = None,
-        use_slab: bool = True,
     ) -> None:
         self.group = group
-        self.vector = make_stability_vector(members, use_slab=use_slab)
+        self.vector = StabilityVector(members)
         self.buffer = RetentionBuffer(group, retention_limit=retention_limit)
 
     def on_message(self, message: DataMessage, key: Optional[str] = None) -> int:

@@ -51,7 +51,8 @@ from repro.core.messages import reset_message_counter
 from repro.net.latency import get_latency_model
 from repro.parallel import WorkUnit, run_units
 from repro.scenarios.spec import default_process_names
-from repro.workloads.client import LatencyReservoir, OpenLoopClient, aggregate_counters
+from repro.stats import LatencyReservoir
+from repro.workloads.client import OpenLoopClient, aggregate_counters
 from repro.workloads.profiles import get_profile
 
 #: Protocol defaults: fast time-silence and suspicion, as in the scenario

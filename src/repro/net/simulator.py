@@ -28,8 +28,9 @@ The kernel is intentionally small but built for throughput:
   timer churn can no longer trigger heap compactions at all), and slots
   are sorted only when their time arrives.  Heap and wheel merge by the
   global ``(time, sequence)`` key at execution, so the firing order is
-  *byte-identical* to an all-heap run -- pinned by equivalence tests, and
-  switchable off entirely with ``Simulator(use_timer_wheel=False)``.
+  *byte-identical* to an all-heap run.  There is no switch to turn the
+  wheel off: the all-heap reference is the same :class:`Simulator` with
+  every event scheduled ``wheel=False``.
 * Dead event records are recycled through a bounded free list; at high
   event rates this keeps allocation pressure flat.  A per-record
   *generation* counter makes recycled records safe: a stale
@@ -259,10 +260,6 @@ class Simulator:
         Seed for the simulator-owned random number generator.  All
         randomness in a simulation (latency sampling, workload generation)
         should be drawn from :attr:`rng` so runs are reproducible.
-    use_timer_wheel:
-        When ``False``, ``schedule(..., wheel=True)`` requests silently fall
-        back to the heap.  Execution order is identical either way (the
-        equivalence tests run both); the switch only exists to prove that.
     wheel_slot_width:
         Bucket granularity of the timer wheel, in simulated time units.
         Periodic protocol timers (suspector checks at 0.5-1.0, time-silence
@@ -301,7 +298,6 @@ class Simulator:
     def __init__(
         self,
         seed: int = 0,
-        use_timer_wheel: bool = True,
         wheel_slot_width: float = 0.5,
         metrics=None,
         profiler=None,
@@ -318,9 +314,7 @@ class Simulator:
         self.compactions = 0
         self.rng = random.Random(seed)
         self.seed = seed
-        self._wheel: Optional[_TimerWheel] = (
-            _TimerWheel(wheel_slot_width, self._recycle) if use_timer_wheel else None
-        )
+        self._wheel = _TimerWheel(wheel_slot_width, self._recycle)
         #: Observation hooks (see the class docstring); downstream layers
         #: (network, transport, protocol) read ``sim.metrics`` at their own
         #: construction time, so the registry rides the object everything
@@ -336,14 +330,8 @@ class Simulator:
             metrics.gauge(
                 "sim.heap_live", lambda: len(self._heap) - self._cancelled_in_heap
             )
-            metrics.gauge(
-                "sim.wheel_pending",
-                lambda: self._wheel.count if self._wheel is not None else 0,
-            )
-            metrics.gauge(
-                "sim.wheel_live",
-                lambda: self._wheel.live if self._wheel is not None else 0,
-            )
+            metrics.gauge("sim.wheel_pending", lambda: self._wheel.count)
+            metrics.gauge("sim.wheel_live", lambda: self._wheel.live)
         else:
             self._c_scheduled = None
             self._c_fired = None
@@ -365,15 +353,12 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events currently queued (including cancelled ones)."""
-        wheel = self._wheel
-        return len(self._heap) + (wheel.count if wheel is not None else 0)
+        return len(self._heap) + self._wheel.count
 
     @property
     def live_pending_events(self) -> int:
         """Number of queued events that have not been cancelled."""
-        live = len(self._heap) - self._cancelled_in_heap
-        wheel = self._wheel
-        return live + (wheel.live if wheel is not None else 0)
+        return len(self._heap) - self._cancelled_in_heap + self._wheel.live
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -416,8 +401,8 @@ class Simulator:
         event.callback = callback
         event.args = args
         event.label = label
-        timer_wheel = self._wheel
-        if wheel and timer_wheel is not None:
+        if wheel:
+            timer_wheel = self._wheel
             slot_index = timer_wheel.slot_for(time)
             if timer_wheel.accepts(slot_index):
                 timer_wheel.insert(event, slot_index)
@@ -523,7 +508,7 @@ class Simulator:
             self._cancelled_in_heap -= 1
             self._recycle(heapq.heappop(heap)[2])
         timer_wheel = self._wheel
-        wheel_event = timer_wheel.peek() if timer_wheel is not None else None
+        wheel_event = timer_wheel.peek()
         if heap:
             time, sequence, event = heap[0]
             if (

@@ -3,9 +3,8 @@
 This is a *leaf* module -- it imports nothing from :mod:`repro` -- so both
 the trace layer (:class:`repro.net.trace.MetricsSink`) and the workload
 layer (:class:`repro.workloads.client.OpenLoopClient`) can maintain exact,
-mergeable latency statistics without an import cycle.  The historical
-import sites (``repro.workloads.client`` / ``repro.workloads``) re-export
-everything here.
+mergeable latency statistics without an import cycle.  :mod:`repro.workloads`
+re-exports the reservoir names for workload users.
 """
 
 from __future__ import annotations

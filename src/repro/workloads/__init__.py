@@ -35,6 +35,7 @@ Scenario specs reference profiles by name (``workload: {"profile":
 :mod:`repro.experiments` grids them against stacks and offered loads.
 """
 
+from repro.stats import LATENCY_PERCENTILES, LATENCY_RESERVOIR, LatencyReservoir
 from repro.workloads.arrivals import (
     ARRIVAL_KINDS,
     ArrivalProcess,
@@ -43,20 +44,12 @@ from repro.workloads.arrivals import (
     PoissonArrivals,
     RampArrivals,
 )
-from repro.workloads.client import (
-    LATENCY_PERCENTILES,
-    LATENCY_RESERVOIR,
-    LatencyReservoir,
-    OpenLoopClient,
-    aggregate_counters,
-)
+from repro.workloads.client import OpenLoopClient, aggregate_counters
 from repro.workloads.profiles import (
     PROFILE_FACTORIES,
-    ScheduledSend,
     WorkloadProfile,
     available_profiles,
     get_profile,
-    materialize,
 )
 from repro.workloads.selection import (
     SELECTION_KINDS,
@@ -79,7 +72,6 @@ __all__ = [
     "PoissonArrivals",
     "RampArrivals",
     "SELECTION_KINDS",
-    "ScheduledSend",
     "SelectionPolicy",
     "UniformSelection",
     "WorkloadProfile",
@@ -88,5 +80,4 @@ __all__ = [
     "aggregate_counters",
     "available_profiles",
     "get_profile",
-    "materialize",
 ]

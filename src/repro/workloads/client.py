@@ -37,12 +37,7 @@ import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.trace import DELIVER, TraceEvent, TraceSink
-from repro.stats import (  # noqa: F401  (historical import site, re-exported)
-    LATENCY_PERCENTILES,
-    LATENCY_RESERVOIR,
-    LatencyReservoir,
-    percentile,
-)
+from repro.stats import LATENCY_RESERVOIR, LatencyReservoir
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
 

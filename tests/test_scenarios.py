@@ -14,7 +14,7 @@ import pytest
 
 from repro.net.simulator import Simulator
 from repro.scenarios import (
-    ScenarioConfigError,
+    InvalidScenarioSpec,
     ScenarioEngine,
     cascading_partitions_scenario,
     churn_scenario,
@@ -100,7 +100,7 @@ def test_from_config_infers_processes_from_groups():
     ],
 )
 def test_from_config_rejects_malformed_specs(config):
-    with pytest.raises(ScenarioConfigError):
+    with pytest.raises(InvalidScenarioSpec):
         from_config(config)
 
 
