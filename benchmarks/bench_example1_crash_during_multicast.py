@@ -7,7 +7,7 @@ and never deliver the orphan m' without m (the discard-above-lnmn safety
 measure preserving MD5).  Measured: survivor delivery sets, joint
 detection, and the time to re-establish a stable view.
 
-This benchmark runs through ``repro.api.Session`` with ``analysis="online"``:
+This benchmark runs through ``repro.api.Session``:
 the guarantees are verified by the streaming checkers and the two
 quantities the assertions need (joint detections, the stable-view install
 time) are observed by a small custom :class:`~repro.net.trace.TraceSink`
@@ -46,7 +46,6 @@ def run_example1():
         ["Pi", "Pj", "Pr", "Ps"],
         groups=[("g", None)],
         seed=7,
-        analysis="online",
         sinks=[watcher],
         view_agreement_sets={"g": list(SURVIVORS)},
     )
@@ -102,5 +101,4 @@ def test_example1_orphan_suppression(benchmark):
     assert views_ok
     assert stable_view_time is not None
     # The whole run was verified without materializing a trace.
-    assert result.analysis == "online"
     assert result.trace_events_stored == 0

@@ -8,12 +8,13 @@ Measured: exclusion-before-delivery ordering and the latency from the lost
 multicast to delivery of the dependent message.
 """
 
-from common import RESULTS, assert_session_correct, fmt, run_session
+from common import EventProbe, RESULTS, assert_session_correct, fmt, run_session
 
-from repro.net.trace import VIEW_INSTALL
+from repro.net.trace import DELIVER, VIEW_INSTALL
 
 
 def run_example2():
+    probe = EventProbe(DELIVER, VIEW_INSTALL)
     session = run_session(
         ["Pi", "Pj", "Pk", "Pq"],
         groups=[
@@ -23,6 +24,7 @@ def run_example2():
         ],
         seed=11,
         view_agreement_sets={"g1": ["Pi", "Pj"], "g2": ["Pq"], "g3": ["Pi", "Pj", "Pq"]},
+        sinks=[probe],
     )
     session.run(5)
     # Permanent partition: Pk can no longer reach Pi or Pj (but still Pq).
@@ -46,12 +48,12 @@ def run_example2():
     m1_time = session.sim.now
     session.multicast("Pk", "g1", "m1")
     session.run(250)
-    return session, m1_time
+    return session, probe, m1_time
 
 
 def test_example2_md5_prime_under_partition(benchmark):
-    cluster, m1_time = benchmark.pedantic(run_example2, rounds=1, iterations=1)
-    trace = cluster.trace()
+    cluster, probe, m1_time = benchmark.pedantic(run_example2, rounds=1, iterations=1)
+    trace = probe.trace()
     m4_delivery_time = min(
         (e.time for e in trace.events(kind="deliver", process="Pi", group="g3")),
         default=None,

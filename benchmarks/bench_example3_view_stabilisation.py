@@ -26,7 +26,6 @@ def run_example3(use_signatures: bool) -> dict:
         groups=[("g", None)],
         seed=9,
         mode_overrides=overrides,
-        analysis="online",
         sinks=[probe],
         checks=("total_order", "sender_in_view", "causal_prefix"),
     )

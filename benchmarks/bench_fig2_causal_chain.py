@@ -25,7 +25,6 @@ def run_causal_chain():
             ("g4", ["Pq", "Ps", "Pi", "Pj"]),
         ],
         seed=12,
-        analysis="online",
         sinks=[probe],
         view_agreement_sets={
             "g1": ["Pi", "Pj"],

@@ -41,7 +41,6 @@ def newtop_latency(mode: OrderingMode, seed: int = 4) -> float:
         ["P1", "P2", "P3"],
         groups=[("g", None, mode)],
         seed=seed,
-        analysis="online",
         checks=checks,
     )
     for index in range(10):

@@ -20,7 +20,6 @@ def run_case(window, seed: int):
         groups=[("g", None)],
         seed=seed,
         mode_overrides=overrides,
-        analysis="online",
         sinks=[probe],
     )
     # A burst of back-to-back sends with no gaps: the worst case for

@@ -103,6 +103,10 @@ def measure(scale=None, parallel=None, artifact_dir=None):
             "shrink_runs": (
                 oracle_shrunk[0].shrink_runs if oracle_shrunk else None
             ),
+            # Messages whose journeys explain the shrunk repro.
+            "explained_messages": (
+                len(oracle_shrunk[0].journeys) if oracle_shrunk else 0
+            ),
         },
     }
 
@@ -123,6 +127,10 @@ def check_gates(payload):
     assert oracle["shrunk_events"] is not None and oracle["shrunk_events"] <= 12, (
         f"shrinker left {oracle['shrunk_events']} events in the oracle repro "
         "(expected a minimal repro of at most 12)"
+    )
+    assert oracle["explained_messages"] >= 1, (
+        "the shrunk oracle repro carries no message journeys: the "
+        "violation is no longer explained"
     )
 
 
@@ -182,7 +190,8 @@ def main():
         f"{payload['specs_per_minute']} specs/min (parallel "
         f"{payload['parallel']}); oracle arm: {oracle['violations']} "
         f"{oracle['violation_kind']} violation(s) in {oracle['budget']} specs, "
-        f"shrunk to {oracle['shrunk_events']} event(s) -> {args.json}"
+        f"shrunk to {oracle['shrunk_events']} event(s), "
+        f"{oracle['explained_messages']} message journey(s) -> {args.json}"
     )
 
 

@@ -19,7 +19,7 @@ def run_sweep():
         # Pre-existing membership: everyone is already in a base group, as
         # the paper envisages (formation happens alongside existing work).
         session = run_session(
-            names, groups=[("base", names)], seed=40 + size, analysis="online"
+            names, groups=[("base", names)], seed=40 + size
         )
         session.run(5)
         messages_before = session.network.stats.messages_sent

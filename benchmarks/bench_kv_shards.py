@@ -100,7 +100,6 @@ def run_kv_bench(scale=None, observe=None):
     session = Session(
         "newtop",
         seed=scale["seed"],
-        analysis="online",
         sinks=[oracle],
         observe=observe,
     )

@@ -32,7 +32,6 @@ def run_sweep():
             names,
             groups=[("g", names)],
             seed=30 + size,
-            analysis="online",
             sinks=[probe],
             view_agreement_sets={"g": survivors},
         )

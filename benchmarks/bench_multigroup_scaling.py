@@ -7,7 +7,7 @@ sequencers (unlike the propagation-graph approach of [9]).  Measured:
 delivery latency as the number of groups per process grows, and the extra
 hops a propagation-graph construction pays for the same overlap structure.
 
-Runs as a ``repro.api`` session with ``analysis="online"``: the MD/VC
+Runs as a ``repro.api`` session: the MD/VC
 checkers stream over the trace and the latency statistics come from the
 rolling :class:`~repro.net.trace.MetricsSink` -- no materialized trace.
 """
@@ -26,7 +26,7 @@ def run_newtop_overlap(group_count: int, seed: int) -> float:
         (f"g{index}", [names[index % 4], names[(index + 1) % 4]])
         for index in range(group_count)
     ]
-    session = run_session(names, groups=groups, seed=seed, analysis="online")
+    session = run_session(names, groups=groups, seed=seed)
     for group_id, members in groups:
         session.multicast(members[0], group_id, f"{group_id}-a")
         session.multicast(members[1], group_id, f"{group_id}-b")

@@ -82,7 +82,7 @@ def _run_once(scale, observe):
     """
     config = churn_scenario(batch_window=0.25, **scale)
     start = time.perf_counter()
-    result = run_scenario(config, analysis="online", observe=observe)
+    result = run_scenario(config, observe=observe)
     wall = time.perf_counter() - start
     assert result.passed, result.checks.violations[:3]
     return wall, (result.deliveries, result.messages_sent, result.trace_events)

@@ -126,7 +126,7 @@ def run_scale_shards(scale=None, parallel=None, progress=None):
 
     start = time.time()
     results = run_scenarios(
-        configs, parallel=parallel, analysis="online", progress=observe
+        configs, parallel=parallel, progress=observe
     )
     wall = time.time() - start
     for result in results:
@@ -314,7 +314,6 @@ def record_results(scale_name, json_path, parallel=None):
         "parallel_scale",
         scale_name,
         {
-            "analysis": "online",
             "parallel": pool,
             "scale_shards": payload["scale_shards"],
             "grid": payload["grid"],

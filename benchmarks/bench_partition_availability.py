@@ -23,7 +23,7 @@ SCENARIOS = {
 
 
 def newtop_available_fraction(components, seed: int) -> float:
-    session = run_session(MEMBERS, groups=[("g", MEMBERS)], seed=seed, analysis="online")
+    session = run_session(MEMBERS, groups=[("g", MEMBERS)], seed=seed)
     session.run(5)
     session.partition(components)
     session.run(200)

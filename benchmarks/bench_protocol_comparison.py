@@ -64,7 +64,7 @@ def _stack_row(config, stack):
     """One stack's verified run on the shared scenario (a pool work unit)."""
     start = time.time()
     result = run_scenario(
-        config, stack=stack, analysis="online", on_unsupported="skip"
+        config, stack=stack, on_unsupported="skip"
     )
     wall = time.time() - start
     assert result.passed, (stack, result.checks.violations[:3])
@@ -156,7 +156,7 @@ def record_results(scale_name, json_path, parallel=None):
         json_path,
         "protocol_comparison",
         scale_name,
-        {"analysis": "online", "parallel": parallel or 1, "stacks": comparison},
+        {"parallel": parallel or 1, "stacks": comparison},
         config=SCALES[scale_name],
         seed=SCALES[scale_name]["seed"],
         wall_seconds=time.time() - start,

@@ -9,20 +9,19 @@ crashes, voluntary departures and dynamic group formations while
 application traffic keeps flowing, then verifies every guarantee (total
 order, view agreement among the stable core, virtual synchrony).
 
-* **E18** (100 processes / 10 groups) verifies post-hoc on the full trace
-  and measures the throughput levers of the simulation runtime --
-  same-instant delivery batching and event-heap health -- so runtime
-  regressions show up as shape changes, not just slower wall clock.
-* **E19** (1000 processes / 100 groups) is only feasible with the
-  streaming verification subsystem: the run uses ``analysis="online"`` --
-  the trace recorder streams into the incremental checkers and a rolling
-  metrics sink with ``keep_events=False``, so *no* event trace is ever
-  materialized, while every guarantee is still checked.
+* **E18** (100 processes / 10 groups) measures the throughput levers of
+  the simulation runtime -- same-instant delivery batching and event-heap
+  health -- so runtime regressions show up as shape changes, not just
+  slower wall clock.
+* **E19** (1000 processes / 100 groups) relies on the streaming
+  verification every scenario run uses: the trace recorder streams into
+  the incremental checkers and a rolling metrics sink with
+  ``keep_events=False``, so *no* event trace is ever materialized, while
+  every guarantee is still checked.
 
 The module doubles as the scenario smoke entry point: the test suite
 imports :func:`run_churn` with :data:`SMOKE_SCALE` (tiny N) so the whole
-scenario path -- both analysis modes -- is exercised by tier-1 without the
-full-scale cost.  Run as a script to record results to JSON for CI::
+scenario path is exercised by tier-1 without the full-scale cost.  Run as a script to record results to JSON for CI::
 
     python benchmarks/bench_scenario_churn.py --scale smoke \
         --json BENCH_scenario_churn.json
@@ -72,9 +71,7 @@ SMOKE_SCALE = dict(
 SCALES = {"smoke": SMOKE_SCALE, "full": FULL_SCALE, "thousand": THOUSAND_SCALE}
 
 
-def run_churn(
-    scale=None, batch_window=0.25, analysis="offline", stack="newtop", observe=None
-):
+def run_churn(scale=None, batch_window=0.25, stack="newtop", observe=None):
     """Run one churn scenario and assert its guarantees held.
 
     Returns the :class:`~repro.scenarios.engine.ScenarioResult` so callers
@@ -88,14 +85,12 @@ def run_churn(
     config = churn_scenario(batch_window=batch_window, **overrides)
     result = run_scenario(
         config,
-        analysis=analysis,
         stack=stack,
         on_unsupported="raise" if stack == "newtop" else "skip",
         observe=observe,
     )
     assert result.passed, f"scenario guarantees violated: {result.checks.violations[:3]}"
-    if analysis == "online":
-        assert result.trace_events_stored == 0, "online mode materialized a trace"
+    assert result.trace_events_stored == 0, "the run materialized a trace"
     return result
 
 
@@ -139,7 +134,7 @@ def test_scenario_churn(benchmark):
 def test_scenario_churn_1000_online(benchmark):
     """E19: 1000-process churn verified entirely by the streaming checkers."""
     result = benchmark.pedantic(
-        run_churn, kwargs=dict(scale=THOUSAND_SCALE, analysis="online"),
+        run_churn, kwargs=dict(scale=THOUSAND_SCALE),
         rounds=1, iterations=1,
     )
     table = [
@@ -156,14 +151,13 @@ def test_scenario_churn_1000_online(benchmark):
     ]
     RESULTS.add_table("E19 1000-process churn, streaming verification", table)
 
-    assert result.analysis == "online"
     assert result.trace_events_stored == 0
     assert result.deliveries > 0
     assert result.metrics["by_kind"]["deliver"] == result.deliveries
 
 
 def record_results(scale_name, json_path, parallel=None, observe=None):
-    """Run the named scale online and write a JSON result file (CI hook).
+    """Run the named scale and write a JSON result file (CI hook).
 
     This benchmark is a *single* scenario (one simulation cannot shard),
     so ``--parallel`` routes it through :func:`repro.scenarios.run_scenarios`
@@ -174,14 +168,13 @@ def record_results(scale_name, json_path, parallel=None, observe=None):
     if (parallel or 1) > 1:
         config = churn_scenario(batch_window=0.25, **SCALES[scale_name])
         result = run_scenarios(
-            [config], parallel=parallel, analysis="online", observe=observe
+            [config], parallel=parallel, observe=observe
         )[0]
         assert result.passed, result.checks.violations[:3]
     else:
-        result = run_churn(scale=SCALES[scale_name], analysis="online", observe=observe)
+        result = run_churn(scale=SCALES[scale_name], observe=observe)
     payload = {
         "passed": result.passed,
-        "analysis": result.analysis,
         "sim_time": result.sim_time,
         "events_processed": result.events_processed,
         "messages_sent": result.messages_sent,

@@ -20,7 +20,6 @@ def run_scenario(mode_one: OrderingMode, mode_two: OrderingMode, seed: int):
         ["P1", "P2", "P3"],
         groups=[("g1", None, mode_one), ("g2", None, mode_two)],
         seed=seed,
-        analysis="online",
         sinks=[probe],
     )
     for index in range(6):

@@ -113,7 +113,7 @@ def run_single_scale(scale=None, observe=None):
     scale = SMOKE_SCALE if scale is None else scale
     config = single_scale_config(scale)
     start = time.time()
-    result = run_scenario(config, analysis="online", observe=observe)
+    result = run_scenario(config, observe=observe)
     wall = time.time() - start
     assert result.passed, (result.name, result.checks.violations[:3])
     assert result.trace_events_stored == 0, "online mode materialized a trace"

@@ -17,7 +17,6 @@ def run_case(messages: int, gap: float, window, seed: int):
         groups=[("g", None)],
         seed=seed,
         mode_overrides=overrides,
-        analysis="online",
     )
     for index in range(messages):
         session.multicast("P1", "g", f"m{index}")

@@ -37,7 +37,7 @@ PROTOCOLS = [
 
 def run_protocol(stack, mode, seed):
     session = run_session(
-        NAMES, groups=[("g", None, mode)], stack=stack, seed=seed, analysis="online"
+        NAMES, groups=[("g", None, mode)], stack=stack, seed=seed
     )
     start = session.sim.now
     sends = MESSAGES_PER_SENDER * len(SENDERS)

@@ -6,9 +6,7 @@ null-message ratio and mean delivery latency as ω is swept, for a workload
 where only one member generates application traffic.
 """
 
-from common import RESULTS, assert_session_correct, fmt, run_session
-
-from repro.analysis.metrics import build_report
+from common import RESULTS, assert_session_correct, fmt, latency_block, run_session
 
 OMEGAS = [1.0, 2.0, 4.0, 8.0]
 
@@ -16,26 +14,22 @@ OMEGAS = [1.0, 2.0, 4.0, 8.0]
 def run_sweep():
     rows = []
     for omega in OMEGAS:
-        # The null-message ratio and latency summary are post-hoc report
-        # quantities, so this sweep keeps the offline (materialized-trace)
-        # analysis mode.
         session = run_session(
             ["P1", "P2", "P3", "P4"],
             groups=[("g", None)],
             seed=17,
             mode_overrides=dict(omega=omega, suspicion_timeout=omega * 8),
         )
-        start = session.sim.now
         for index in range(6):
             session.multicast("P1", "g", index)
             session.run(3.0)
         session.run(60)
-        report = build_report(
-            session.trace(), session.network.stats, duration=session.sim.now - start, group="g"
-        )
-        assert_session_correct(session)
-        rows.append((omega, report.null_ratio, report.delivery_latency.mean,
-                     report.application_deliveries))
+        result = assert_session_correct(session)
+        # One group, so the run-wide MetricsSink counts are the group's.
+        by_kind = result.metrics["by_kind"]
+        null_ratio = by_kind.get("null_send", 0) / by_kind["send"]
+        rows.append((omega, null_ratio, latency_block(result)["mean"],
+                     by_kind["deliver"]))
     return rows
 
 

@@ -364,7 +364,6 @@ def record_results(scale_name, json_path, parallel=None, observe=None):
     reports = run_all(scale, progress, parallel)
     _assert_reports(reports, scale)
     payload = {
-        "analysis": "online",
         "parallel": parallel or 1,
         "curves": reports["curves"].as_dict(),
         "crash": reports["crash"].as_dict(),

@@ -18,7 +18,6 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analysis.metrics import build_report
 from repro.api import ProtocolStack, Session, SessionResult
 from repro.core import OrderingMode
 from repro.experiments import SweepReport
@@ -50,7 +49,6 @@ def run_session(
     stack: Union[str, ProtocolStack] = "newtop",
     seed: int = 1,
     mode_overrides: Optional[Dict[str, object]] = None,
-    analysis: str = "offline",
     checks: Optional[Sequence[str]] = None,
     sinks: Optional[Sequence[TraceSink]] = None,
     view_agreement_sets: Optional[Dict[str, Sequence[str]]] = None,
@@ -62,9 +60,12 @@ def run_session(
     ``groups`` entries are ``(group_id, members)`` or
     ``(group_id, members, mode)``; ``members=None`` means every process.
     The default is one group ``"bench"`` over everyone.  This replaces the
-    per-benchmark cluster boilerplate: the session carries the trace
-    wiring, and :func:`assert_session_correct` reads the verdict from
-    whichever analysis mode the benchmark selected.
+    per-benchmark cluster boilerplate: the session streams every event
+    into the stack's check suite and a
+    :class:`~repro.net.trace.MetricsSink`, and
+    :func:`assert_session_correct` reads the verdict from the suite.
+    Benchmarks that need events attach an :class:`EventProbe` via
+    ``sinks=[...]``.
     """
     overrides = dict(FAST_CONFIG)
     if mode_overrides:
@@ -75,7 +76,6 @@ def run_session(
         seed=seed,
         sinks=sinks,
         checks=checks,
-        analysis=analysis,
         view_agreement_sets=view_agreement_sets,
         observe=observe,
     )
@@ -110,30 +110,23 @@ def assert_session_correct(session: Session) -> SessionResult:
     return result
 
 
-def latency_block(result) -> Optional[Dict[str, object]]:
+def latency_block(result) -> Dict[str, object]:
     """The delivery-latency summary (count/mean/p50/p95/p99/...) of a run.
 
     Reads the block straight off the rolling
-    :class:`~repro.net.trace.MetricsSink` snapshot -- which now carries the
+    :class:`~repro.net.trace.MetricsSink` snapshot -- which carries the
     percentiles -- rather than re-walking a reservoir in every benchmark.
-    Works on :class:`SessionResult` and ``ScenarioResult`` alike; falls
-    back to the exact reservoir for results without a metrics snapshot
-    (offline runs), and returns ``None`` when neither exists.
+    Works on :class:`SessionResult` and ``ScenarioResult`` alike (both
+    always carry the snapshot).
     """
-    metrics = getattr(result, "metrics", None)
-    if metrics is not None and metrics.get("latency"):
-        return metrics["latency"]
-    reservoir = getattr(result, "latency_reservoir", None)
-    if reservoir is not None:
-        return reservoir.summary(percentiles=(50, 95, 99))
-    return None
+    return result.metrics["latency"]
 
 
 class EventProbe(TraceSink):
     """Retains only the trace events of the given kinds.
 
-    Benchmarks that run ``analysis="online"`` (streamed verification, no
-    stored trace) attach one of these via ``sinks=[probe]`` to keep just
+    Sessions stream their verification and store no trace, so benchmarks
+    attach one of these via ``sinks=[probe]`` to keep just
     the handful of events their measurement needs -- a view installation
     time, a blocked-send count -- while the bulk of the trace stays
     unmaterialized.  ``probe.trace()`` wraps the captured events in an
@@ -182,17 +175,26 @@ def newtop_run_metrics(
     seed: int = 3,
     senders: Optional[Sequence[str]] = None,
 ) -> Dict[str, float]:
-    """One standard Newtop run; returns the flattened metrics report."""
+    """One standard Newtop run on a single group ``"bench"``; returns its
+    counts and delivery latency, read from the run's MetricsSink snapshot
+    (the only group, so the run-wide counts are the group's) and the
+    network counters."""
     session = run_session(names, groups=[("bench", None, mode)], seed=seed)
     active_senders = list(senders) if senders is not None else list(names)
-    start = session.sim.now
     run_session_traffic(session, "bench", active_senders, messages_per_sender)
-    duration = session.sim.now - start
-    assert_session_correct(session)
-    report = build_report(session.trace(), session.network.stats, duration=duration, group="bench")
-    flattened = report.as_dict()
-    flattened["group_size"] = float(len(names))
-    return flattened
+    result = assert_session_correct(session)
+    by_kind = result.metrics["by_kind"]
+    latency = latency_block(result)
+    return {
+        "delivery_latency_mean": latency["mean"],
+        "delivery_latency_p95": latency["p95"],
+        "delivery_latency_max": latency["max"],
+        "application_sends": float(by_kind.get("send", 0)),
+        "application_deliveries": float(by_kind.get("deliver", 0)),
+        "null_messages": float(by_kind.get("null_send", 0)),
+        "network_messages_sent": float(result.messages_sent),
+        "group_size": float(len(names)),
+    }
 
 
 #: Version of the shared BENCH_*.json header schema.  Bumped to 2 when the

@@ -33,7 +33,6 @@ def run_workload(stack: str):
         config={"omega": 1.5, "suspicion_timeout": 6.0,
                 "suspector_check_interval": 0.5},
         seed=9,
-        analysis="online",
     )
     session.spawn(NAMES)
     session.group("g")

@@ -68,7 +68,7 @@ def get(session, store, client, key):
 
 def main():
     oracle = KVOracle()
-    session = Session("newtop", seed=4, analysis="online", sinks=[oracle])
+    session = Session("newtop", seed=4, sinks=[oracle])
     session.spawn([pid for members in LAYOUT.values() for pid in members])
     session.spawn(SPARES)
     store = ShardedKV(session, mode=OrderingMode.ASYMMETRIC)

@@ -21,13 +21,18 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import OrderingMode, Session
 from repro.analysis.metrics import blocking_times
+from repro.net.trace import MemorySink
 
 
 def main() -> None:
+    # Verification streams; the memory sink keeps the events so the
+    # blocking-rule wait can be read off the trace afterwards.
+    events = MemorySink()
     session = Session(
         stack="newtop",
         config={"omega": 2.0, "suspicion_timeout": 10.0},
         seed=3,
+        sinks=[events],
     )
     session.spawn(["P1", "P2", "P3", "P4"])
 
@@ -53,7 +58,7 @@ def main() -> None:
         for record in session[name].delivered:
             print(f"    [{record.group:9s}] {record.payload}")
 
-    waits = blocking_times(session.trace(), group="telemetry")
+    waits = blocking_times(events.trace(), group="telemetry")
     if waits:
         print(f"\nBlocking-rule wait before the deferred telemetry send: "
               f"{waits[0]:.2f} simulated time units")

@@ -55,7 +55,7 @@ def main() -> None:
     print(f"Guarantees checked on the trace: {result.checks.name}")
     print(f"Logical clock at P1: {session['P1'].clock.value}")
     print(f"Null messages sent by the time-silence mechanism: "
-          f"{len(session.trace().events(kind='null_send'))}")
+          f"{result.metrics['by_kind'].get('null_send', 0)}")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,17 @@
-"""Analysis tooling: property checkers, metrics and overhead models.
+"""Analysis tooling: property checkers, trace queries and overhead models.
 
-* :mod:`repro.analysis.checkers` -- verify the paper's delivery and view
-  guarantees (MD1-MD5', VC1-VC3) over recorded event traces (post-hoc).
-* :mod:`repro.analysis.online` -- the same guarantees checked incrementally
-  while events stream through the trace recorder's sink API; scales to
-  1000-process runs with no materialized trace.
-* :mod:`repro.analysis.metrics` -- latency / throughput / message-count
-  summaries derived from traces and network statistics.
+* :mod:`repro.analysis.online` -- the runtime verifier: the paper's delivery
+  and view guarantees (MD1-MD5', VC1-VC3) checked incrementally while
+  events stream through the trace recorder's sink API; every session and
+  scenario verdict comes from it, and it scales to 1000-process runs with
+  no materialized trace.
+* :mod:`repro.analysis.checkers` -- the same guarantees evaluated post hoc
+  over a materialized :class:`~repro.net.trace.EventTrace`: the
+  independent oracle tests compare the streaming suite against (no run
+  derives its verdict from it).
+* :mod:`repro.analysis.metrics` -- trace queries for blocking time and
+  view-agreement latency (counts and latency percentiles come from the
+  run's :class:`~repro.net.trace.MetricsSink`).
 * :mod:`repro.analysis.overhead` -- per-message protocol overhead models
   for Newtop and the §6 comparison protocols (ISIS vector clocks, Psync
   context graphs, piggybacking).
@@ -23,7 +28,6 @@ from repro.analysis.checkers import (
     check_total_order,
     check_view_sequences,
 )
-from repro.analysis.metrics import LatencySummary, MetricsReport, summarize_latencies
 from repro.analysis.online import (
     ALL_CHECKS,
     GroupScopedCheckSuite,
@@ -47,8 +51,6 @@ __all__ = [
     "ALL_CHECKS",
     "CheckResult",
     "GroupScopedCheckSuite",
-    "LatencySummary",
-    "MetricsReport",
     "OnlineCausalOrder",
     "OnlineCheckSuite",
     "OnlineChecker",
@@ -67,5 +69,4 @@ __all__ = [
     "newtop_overhead_bytes",
     "piggyback_overhead_bytes",
     "psync_overhead_bytes",
-    "summarize_latencies",
 ]

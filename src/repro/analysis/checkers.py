@@ -1,11 +1,17 @@
-"""Trace-based checkers for the paper's guarantees.
+"""Post-hoc checkers for the paper's guarantees: the oracle tests compare
+the streaming suite against.
 
 The paper states its guarantees as predicates over executions (§3); these
 functions evaluate the corresponding predicates over an
-:class:`~repro.net.trace.EventTrace` recorded during a simulation.  They are
-used by the integration tests, the property-based tests and the benchmark
-harness (every benchmark asserts its run was correct before reporting
-numbers).
+:class:`~repro.net.trace.EventTrace` recorded during a simulation (e.g. by
+a :class:`~repro.net.trace.MemorySink` attached to the run).  No session or
+scenario derives its verdict from them -- every runtime verdict comes from
+:mod:`repro.analysis.online`.  They are the independent oracle: the
+integration and property-based tests assert that the streaming verdict
+agrees with :func:`check_all` on the same run, some tests and benchmarks
+query a captured trace with the single-property checkers, and the fuzz
+shrinker uses :func:`check_same_view_delivery_sets` to name the messages
+behind a virtual-synchrony violation.
 
 Checked properties
 ------------------
@@ -29,11 +35,11 @@ Crashed processes are exempt from liveness-flavoured checks (a crashed
 process may have delivered a prefix only), exactly as the paper's
 properties quantify over functioning processes.
 
-These checkers are post-hoc: they need a materialized
-:class:`~repro.net.trace.EventTrace` and some are quadratic in processes
-or messages.  :mod:`repro.analysis.online` checks the same predicates
-incrementally from the trace recorder's sink API with amortized O(1)-O(k)
-work per event; both suites agree on every verdict (pinned down by
+These checkers need a materialized :class:`~repro.net.trace.EventTrace`
+and some are quadratic in processes or messages.
+:mod:`repro.analysis.online` checks the same predicates incrementally from
+the trace recorder's sink API with amortized O(1)-O(k) work per event; both
+suites agree on every verdict (pinned down by
 ``tests/test_online_checkers.py``).
 """
 

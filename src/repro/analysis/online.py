@@ -39,7 +39,9 @@ each event kind only to the checkers that consume it.  Attach it to a
 :class:`~repro.net.trace.TraceRecorder` (optionally with
 ``keep_events=False`` so the full trace is never materialized) and call
 :meth:`~OnlineCheckSuite.result` at the end of the run; the verdict mirrors
-:func:`repro.analysis.checkers.check_all`.
+:func:`repro.analysis.checkers.check_all`.  This suite is the only runtime
+verifier: every :class:`~repro.api.Session` and scenario run reads its
+verdict from one (via ``ProtocolStack.make_check_suite``).
 
 Equivalence with the post-hoc checkers: on any trace both suites agree on
 the overall verdict (violations may be attributed to differently named

@@ -19,19 +19,14 @@ or the primary-partition policy by changing ``stack=``; verification is
 routed through the stack's declared checks, so a sequencer run streams the
 total-order checker while a Psync run streams the causal one.
 
-Two analysis modes mirror the scenario engine's:
-
-``analysis="offline"`` (default)
-    The full trace is materialized; :meth:`Session.result` evaluates the
-    stack's post-hoc checkers over it and :meth:`Session.trace` works.
-``analysis="online"``
-    The recorder streams into the stack's check suite and a rolling
-    :class:`~repro.net.trace.MetricsSink` with ``keep_events=False`` -- no
-    event is retained, memory stays flat at any scale.
-
-Extra :class:`~repro.net.trace.TraceSink` objects (e.g. a
-:class:`~repro.net.trace.JsonlSink`, or a custom observer) attach in either
-mode via ``sinks=[...]``.
+Verification is streaming only: the recorder feeds the stack's check suite
+(:meth:`~repro.api.stack.ProtocolStack.make_check_suite`) and a rolling
+:class:`~repro.net.trace.MetricsSink` with ``keep_events=False`` -- no
+event is retained, memory stays flat at any scale, and
+:attr:`SessionResult.metrics` is always set.  A caller that needs the
+events themselves attaches a :class:`~repro.net.trace.MemorySink` (or a
+:class:`~repro.net.trace.JsonlSink`, or a custom observer) via
+``sinks=[...]`` and queries ``sink.trace()``.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from repro.net.faults import get_link_faults
 from repro.net.latency import LatencyModel
 from repro.net.network import Network, NetworkConfig
 from repro.net.simulator import Simulator
-from repro.net.trace import EventTrace, MetricsSink, TraceRecorder, TraceSink
+from repro.net.trace import MetricsSink, TraceRecorder, TraceSink
 from repro.net.transport import Transport
 from repro.obs import Observation
 
@@ -57,7 +52,6 @@ class SessionResult:
     """Everything a session run produced."""
 
     stack: str
-    analysis: str
     checks: Optional[CheckResult]
     deliveries: int
     messages_sent: int
@@ -67,6 +61,7 @@ class SessionResult:
     trace_events: int
     trace_events_stored: int
     protocol_bytes: Optional[int] = None
+    #: The rolling :class:`~repro.net.trace.MetricsSink` snapshot.
     metrics: Optional[Dict[str, object]] = None
     #: The observation snapshot (``observe=`` was given), else ``None``.
     obs: Optional[Dict[str, object]] = None
@@ -99,15 +94,19 @@ class Session:
         link_faults: object = None,
         sinks: Optional[Sequence[TraceSink]] = None,
         checks: Optional[Iterable[str]] = None,
-        analysis: str = "offline",
+        analysis: str = "online",
         view_agreement_sets: Optional[Dict[str, Iterable[str]]] = None,
         observe: object = None,
     ) -> None:
-        if analysis not in ("offline", "online"):
-            raise ValueError(f"unknown analysis mode {analysis!r}")
+        # ``analysis`` survives only as a keyword older callers pass: the
+        # streaming suite is the one verifier, so "online" is its only value.
+        if analysis != "online":
+            raise ValueError(
+                f"analysis={analysis!r} is not supported: the offline analysis "
+                "mode was removed and verification always streams; attach a "
+                "repro.net.trace.MemorySink via sinks=[...] to keep the events"
+            )
         self.stack = get_stack(stack)
-        self.analysis = analysis
-        self.view_agreement_sets = view_agreement_sets
         self._checks = tuple(checks) if checks is not None else None
         # Observation (repro.obs): ``True`` enables metrics + sampler,
         # "journeys" adds sampled per-message journey tracing, "full" adds
@@ -132,25 +131,21 @@ class Session:
         self.network = Network(self.sim, network_config)
         self.transport = Transport(self.network)
         self.injector = FaultInjector(self.sim, self.network)
-        self.suite = None
-        self.metrics_sink: Optional[MetricsSink] = None
         extra_sinks = list(sinks or ())
         if obs is not None:
             extra_sinks.extend(obs.trace_sinks())
-        if analysis == "online":
-            # checks=() disables verification; the metrics sink still runs.
-            if self._checks is None or self._checks:
-                self.suite = self.stack.make_check_suite(
-                    view_agreement_sets, checks=self._checks
-                )
-            self.metrics_sink = MetricsSink()
-            check_sinks = [self.suite] if self.suite is not None else []
-            self.recorder = TraceRecorder(
-                sinks=[*check_sinks, self.metrics_sink, *extra_sinks],
-                keep_events=False,
+        # checks=() disables verification; the metrics sink still runs.
+        self.suite = None
+        if self._checks is None or self._checks:
+            self.suite = self.stack.make_check_suite(
+                view_agreement_sets, checks=self._checks
             )
-        else:
-            self.recorder = TraceRecorder(sinks=extra_sinks)
+        self.metrics_sink = MetricsSink()
+        check_sinks = [self.suite] if self.suite is not None else []
+        self.recorder = TraceRecorder(
+            sinks=[*check_sinks, self.metrics_sink, *extra_sinks],
+            keep_events=False,
+        )
         if obs is not None:
             self.recorder.profiler = obs.profiler
             obs.bind(self.sim)
@@ -199,7 +194,7 @@ class Session:
         The client is bound to this session -- giving it the simulator for
         scheduling arrivals and the stack for membership guards -- and
         registers itself on the trace recorder so it can watch its own
-        deliveries in either analysis mode.  Returns the client; call its
+        deliveries as they stream past.  Returns the client; call its
         ``start()`` to begin offering load.
         """
         client.bind(self)
@@ -266,10 +261,6 @@ class Session:
     def __getitem__(self, process_id: str):
         return self.stack.processes[process_id]
 
-    def trace(self) -> EventTrace:
-        """The materialized trace (offline mode only)."""
-        return self.recorder.trace()
-
     def deliveries(self) -> int:
         """Total application deliveries so far."""
         return self.stack.deliveries()
@@ -284,28 +275,19 @@ class Session:
             self.recorder.close()
 
     def result(self) -> SessionResult:
-        """Close the sinks and evaluate the stack's selected checks.
+        """Close the sinks and read the verdict from the streaming suite.
 
-        Online mode reads the verdict from the streaming suite; offline
-        mode runs the stack's post-hoc checkers over the stored trace.
         ``checks=()`` disables verification (``checks`` is then ``None``).
         """
         if self._result is not None:
             return self._result
         self.close()
-        checks: Optional[CheckResult]
-        if self._checks is not None and not self._checks:
-            checks = None
-        elif self.suite is not None:
-            checks = self.suite.result()
-        else:
-            checks = self.stack.offline_checks(
-                self.trace(), self.view_agreement_sets, checks=self._checks
-            )
+        checks: Optional[CheckResult] = (
+            self.suite.result() if self.suite is not None else None
+        )
         stats = self.network.stats
         self._result = SessionResult(
             stack=self.stack.name,
-            analysis=self.analysis,
             checks=checks,
             deliveries=self.stack.deliveries(),
             messages_sent=stats.messages_sent,
@@ -315,9 +297,7 @@ class Session:
             trace_events=self.recorder.events_recorded,
             trace_events_stored=self.recorder.stored_events,
             protocol_bytes=self.stack.protocol_bytes(),
-            metrics=(
-                self.metrics_sink.snapshot() if self.metrics_sink is not None else None
-            ),
+            metrics=self.metrics_sink.snapshot(),
             obs=(
                 self.observation.snapshot() if self.observation is not None else None
             ),

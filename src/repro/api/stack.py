@@ -35,12 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.checkers import CheckResult
 from repro.analysis.online import ALL_CHECKS, GroupScopedCheckSuite, OnlineCheckSuite
 from repro.net.failures import FaultInjector
 from repro.net.network import Network
 from repro.net.simulator import Simulator
-from repro.net.trace import EventTrace, TraceRecorder
+from repro.net.trace import TraceRecorder
 from repro.net.transport import Transport
 
 #: Capability flags a stack may declare (what the scenario engine maps
@@ -213,22 +212,6 @@ class ProtocolStack:
         if self.check_scope == "group":
             return GroupScopedCheckSuite(view_agreement_sets, checks=names)
         return OnlineCheckSuite(view_agreement_sets, checks=names)
-
-    def offline_checks(
-        self,
-        trace: EventTrace,
-        view_agreement_sets: Optional[Dict[str, Iterable[str]]] = None,
-        checks: Optional[Iterable[str]] = None,
-    ) -> CheckResult:
-        """Post-hoc verdict over a materialized trace.
-
-        The default replays the trace through :meth:`make_check_suite`;
-        stacks with dedicated post-hoc checkers (Newtop) override this.
-        """
-        suite = self.make_check_suite(view_agreement_sets, checks=checks)
-        for event in trace:
-            suite.on_event(event)
-        return suite.result()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
-from repro.analysis.checkers import CheckResult, check_all
 from repro.api.stack import (
     CAP_CRASH,
     CAP_FORM_GROUP,
@@ -43,7 +42,7 @@ from repro.baselines.primary_partition import PrimaryPartitionMembership
 from repro.baselines.psync import PsyncProcess
 from repro.core.config import NewtopConfig, OrderingMode
 from repro.core.process import NewtopProcess
-from repro.net.trace import CRASH, EventTrace, VIEW_INSTALL
+from repro.net.trace import CRASH, VIEW_INSTALL
 
 #: Names a ``protocol`` mapping may carry: the :class:`NewtopConfig`
 #: fields.  Baselines ignore their values, but every stack rejects any
@@ -134,17 +133,6 @@ class NewtopStack(ProtocolStack):
             for record in self.processes[process_id].delivered
             if group_id is None or record.group == group_id
         ]
-
-    def offline_checks(
-        self,
-        trace: EventTrace,
-        view_agreement_sets=None,
-        checks: Optional[Iterable[str]] = None,
-    ) -> CheckResult:
-        # The paper's exact post-hoc checkers, unless a subset was selected.
-        if checks is None or tuple(checks) == ALL_CHECKS:
-            return check_all(trace, view_agreement_sets=view_agreement_sets)
-        return super().offline_checks(trace, view_agreement_sets, checks=checks)
 
     def _context(self) -> StackContext:
         if self.context is None:

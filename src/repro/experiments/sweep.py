@@ -239,7 +239,6 @@ def run_cell(
         stack,
         config=overrides,
         seed=spec.seed,
-        analysis="online",
         latency_model=(
             get_latency_model(spec.latency_model, **dict(spec.latency_options))
             if spec.latency_model is not None

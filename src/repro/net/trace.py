@@ -5,9 +5,10 @@ reports its externally observable events -- sends, receives, deliveries,
 view installations, suspicions -- to a :class:`TraceRecorder`.  The trace is
 the single source of truth used by:
 
-* the property checkers in :mod:`repro.analysis.checkers` (post-hoc) and
-  :mod:`repro.analysis.online` (streaming), which assert the paper's
-  guarantees (MD1-MD5', VC1-VC3) over executions, and
+* the streaming property checkers in :mod:`repro.analysis.online`, which
+  give every run's verdict on the paper's guarantees (MD1-MD5', VC1-VC3),
+  and the post-hoc oracle in :mod:`repro.analysis.checkers` that tests
+  compare them against, and
 * the benchmark harness, which derives latency, message-count and overhead
   series from it.
 
@@ -27,8 +28,9 @@ methods::
 Provided sinks:
 
 * :class:`MemorySink` -- keeps the full event list and materializes an
-  :class:`EventTrace` on demand (the recorder installs one by default so
-  :meth:`TraceRecorder.trace` keeps working);
+  :class:`EventTrace` on demand (a bare recorder installs one by default
+  so :meth:`TraceRecorder.trace` works; sessions stream, and callers that
+  need the events attach one via ``sinks=[...]``);
 * :class:`JsonlSink` -- writes one JSON object per event to a file
   (truncating any existing content), for offline tooling and cross-run
   diffing;
@@ -41,8 +43,9 @@ Provided sinks:
 
 Passing ``keep_events=False`` to :class:`TraceRecorder` drops the default
 memory sink: events are only streamed to the registered sinks and the full
-trace is never materialized, which is what lets the scenario engine verify
-1000-process runs online (``analysis="online"``).
+trace is never materialized.  Every :class:`~repro.api.Session` (and so
+every scenario run) records this way, which is what lets the scenario
+engine verify 1000-process runs in one pass.
 """
 
 from __future__ import annotations
@@ -246,10 +249,15 @@ class MetricsSink(TraceSink):
     summary) keeps cross-shard percentiles exact whenever the shard pools
     are exact.  Latency samples pair each delivery with the *first* send of
     its message id -- re-sends under the original id (asymmetric failover)
-    must not reset the clock.  Memory is O(kinds + groups + distinct
-    message ids + reservoir capacity): the send-time table is what pairs
-    deliveries with sends and cannot be evicted (a multicast delivers many
-    times), but it never grows with deliveries, nulls or run length.
+    must not reset the clock.  An asymmetric group's sequencer delivers its
+    own multicast before the SEND is recorded, at the same instant; such a
+    delivery is held until that SEND arrives and sampled as
+    :meth:`EventTrace.delivery_latencies` samples it.  Memory is O(kinds +
+    groups + distinct message ids + reservoir capacity): the send-time
+    table is what pairs deliveries with sends and cannot be evicted (a
+    multicast delivers many times), but it never grows with deliveries,
+    nulls or run length (held deliveries are dropped at the next instant
+    that holds one).
     """
 
     def __init__(self) -> None:
@@ -257,6 +265,9 @@ class MetricsSink(TraceSink):
         self.by_kind: Dict[str, int] = {}
         self.deliveries_by_group: Dict[str, int] = {}
         self._first_send_time: Dict[str, float] = {}
+        # Deliveries seen before their message's SEND, at _held_time only.
+        self._held: Dict[str, List[float]] = {}
+        self._held_time: Optional[float] = None
         self.latency = LatencyReservoir()
         self._latency_m2 = 0.0
 
@@ -264,7 +275,11 @@ class MetricsSink(TraceSink):
         self.events_total += 1
         self.by_kind[event.kind] = self.by_kind.get(event.kind, 0) + 1
         if event.kind == SEND and event.message_id is not None:
-            self._first_send_time.setdefault(event.message_id, event.time)
+            if event.message_id not in self._first_send_time:
+                self._first_send_time[event.message_id] = event.time
+                if self._held:
+                    for delivered_at in self._held.pop(event.message_id, ()):
+                        self._add_latency(delivered_at - event.time)
         elif event.kind == DELIVER:
             if event.group is not None:
                 self.deliveries_by_group[event.group] = (
@@ -272,10 +287,17 @@ class MetricsSink(TraceSink):
                 )
             send_time = self._first_send_time.get(event.message_id)
             if send_time is not None:
-                sample = event.time - send_time
-                delta = sample - self.latency.mean
-                self.latency.add(sample)
-                self._latency_m2 += delta * (sample - self.latency.mean)
+                self._add_latency(event.time - send_time)
+            elif event.message_id is not None:
+                if event.time != self._held_time:
+                    self._held.clear()
+                    self._held_time = event.time
+                self._held.setdefault(event.message_id, []).append(event.time)
+
+    def _add_latency(self, sample: float) -> None:
+        delta = sample - self.latency.mean
+        self.latency.add(sample)
+        self._latency_m2 += delta * (sample - self.latency.mean)
 
     @property
     def latency_count(self) -> int:
@@ -335,8 +357,8 @@ class TraceRecorder:
     By default a :class:`MemorySink` is installed so :meth:`trace` returns
     the full execution trace (the historical behaviour).  With
     ``keep_events=False`` no event is retained: everything is pushed to the
-    registered sinks only, and :meth:`trace` raises -- this is the
-    streaming/online mode used for runs too large to materialize.
+    registered sinks only, and :meth:`trace` raises -- this is the mode
+    every :class:`~repro.api.Session` records in.
 
     Fan-out is *isolated* by default (``on_sink_error="detach"``): a sink
     raising from :meth:`TraceSink.on_event` is detached from the recorder

@@ -23,7 +23,7 @@ Quick start::
     # The same scenario on a §6 baseline, verified per its own guarantees:
     result = run_scenario(
         churn_scenario(n_processes=100, n_groups=10),
-        stack="fixed_sequencer", analysis="online", on_unsupported="skip",
+        stack="fixed_sequencer", on_unsupported="skip",
     )
 
 See :mod:`repro.scenarios.spec` for the config-dict format and

@@ -20,21 +20,14 @@ capability flags: an event the stack has no capability for (e.g.
 :attr:`ScenarioResult.skipped_events`, never an ``AttributeError``
 mid-run.
 
-Two analysis modes select how the predicates are evaluated:
-
-``analysis="offline"`` (default)
-    The full trace is materialized and the stack's post-hoc checkers run
-    at the end (for Newtop, the exact MD/VC checkers of
-    :mod:`repro.analysis.checkers`) -- right for paper-sized runs and
-    debugging.
-``analysis="online"``
-    The recorder streams into the stack's
-    :class:`~repro.analysis.online.OnlineCheckSuite` (scoped per group for
-    single-group baselines) and a rolling
-    :class:`~repro.net.trace.MetricsSink`; **no event is retained**
-    (``keep_events=False``), so memory stays flat and 1000-process churn
-    runs verify in one pass.  Extra sinks (e.g. a
-    :class:`~repro.net.trace.JsonlSink`) can be attached in either mode.
+Verification is streaming only: the session's recorder feeds the stack's
+:class:`~repro.analysis.online.OnlineCheckSuite` (scoped per group for
+single-group baselines) and a rolling
+:class:`~repro.net.trace.MetricsSink`; **no event is retained**
+(``keep_events=False``), so memory stays flat and 1000-process churn runs
+verify in one pass.  Extra sinks (a :class:`~repro.net.trace.MemorySink`
+for tests that query the events, a :class:`~repro.net.trace.JsonlSink`
+for a dump) attach via ``sinks=[...]``.
 
 Checking under churn needs care: after partitions (real or induced by drop
 windows) only processes that were never separated -- the scenario's *stable
@@ -114,13 +107,12 @@ class ScenarioResult:
     peak_pending_events: int
     peak_live_pending_events: int
     samples: List[RuntimeSample] = field(default_factory=list)
-    #: Which verification pipeline produced :attr:`checks`.
-    analysis: str = "offline"
-    #: Total trace events recorded (streamed or stored).
+    #: Total trace events recorded (streamed to the sinks).
     trace_events: int = 0
-    #: Trace events still held in memory at the end (0 in online mode).
+    #: Trace events held in the recorder's memory at the end (always 0:
+    #: the recorder streams; an attached MemorySink is not counted).
     trace_events_stored: int = 0
-    #: Rolling aggregates from the online MetricsSink (online mode only).
+    #: Rolling aggregates from the session's MetricsSink.
     metrics: Optional[Dict[str, object]] = None
     #: Name of the protocol stack the scenario ran on.
     stack: str = "newtop"
@@ -129,11 +121,12 @@ class ScenarioResult:
     #: Open-loop workload accounting (aggregated over the per-group
     #: clients) when the spec selected a profile; ``None`` otherwise.
     workload: Optional[Dict[str, object]] = None
-    #: Exact delivery-latency statistics merged over the per-group clients
-    #: (profile workloads only).  Carrying the *reservoir* -- not just its
-    #: summary -- is what lets a sharded batch merge percentiles exactly:
-    #: the object is picklable and rides back from pool workers intact.
-    latency_reservoir: Optional[LatencyReservoir] = None
+    #: Delivery-latency statistics: merged over the per-group clients for
+    #: profile workloads, else the MetricsSink's reservoir.  Carrying the
+    #: *reservoir* -- not just its summary -- is what lets a sharded batch
+    #: merge percentiles exactly: the object is picklable and rides back
+    #: from pool workers intact.
+    latency_reservoir: LatencyReservoir = field(default_factory=LatencyReservoir)
     #: Observation snapshot (``observe=`` was given), else ``None``.
     obs: Optional[Dict[str, object]] = None
     #: Trace sinks detached after raising mid-run (fails :attr:`passed`).
@@ -154,7 +147,7 @@ class ScenarioResult:
         rows = [
             f"stack: {self.stack}",
             f"checks: {'PASS' if self.passed else 'FAIL ' + '; '.join(self.checks.violations[:2])}"
-            f" ({self.analysis}; {self.trace_events} trace events, "
+            f" ({self.trace_events} trace events, "
             f"{self.trace_events_stored} stored)",
             f"simulated time {self.sim_time:.1f}, events processed {self.events_processed}",
             f"messages sent {self.messages_sent}, app deliveries {self.deliveries}, "
@@ -176,14 +169,13 @@ class ScenarioEngine:
         self,
         spec: ScenarioSpec,
         latency_model: Optional[LatencyModel] = None,
-        analysis: str = "offline",
+        analysis: str = "online",
         sinks: Optional[List[TraceSink]] = None,
         stack: Union[str, ProtocolStack] = "newtop",
         on_unsupported: str = "raise",
         observe: object = None,
     ) -> None:
-        if analysis not in ("offline", "online"):
-            raise ValueError(f"unknown analysis mode {analysis!r}")
+        # ``analysis`` is validated by the Session: "online" is its only value.
         if on_unsupported not in ("raise", "skip"):
             raise ValueError(f"unknown on_unsupported policy {on_unsupported!r}")
         # One engine = one self-contained simulation; restarting message-id
@@ -193,7 +185,6 @@ class ScenarioEngine:
         # still match a serial run byte-for-byte.
         reset_message_counter()
         self.spec = spec
-        self.analysis = analysis
         self._agreement_sets = self.expected_agreement_sets()
         overrides = dict(SCENARIO_PROTOCOL_DEFAULTS)
         overrides.update(spec.protocol)
@@ -233,21 +224,6 @@ class ScenarioEngine:
         # topology and reinstalls the combined layout on every change.
         self._partition_components: List[Set[str]] = []
         self._isolated: Set[str] = set()
-
-    @property
-    def cluster(self) -> Session:
-        """The running session (kept under the historical attribute name)."""
-        return self.session
-
-    @property
-    def suite(self):
-        """The streaming check suite (online mode only)."""
-        return self.session.suite
-
-    @property
-    def metrics_sink(self):
-        """The rolling metrics sink (online mode only)."""
-        return self.session.metrics_sink
 
     # ------------------------------------------------------------------
     # Capability mapping
@@ -555,12 +531,8 @@ class ScenarioEngine:
     # Running
     # ------------------------------------------------------------------
     def run(self) -> ScenarioResult:
-        """Install, run to the horizon, and evaluate the checkers.
-
-        In offline mode the stack's post-hoc checkers run over the
-        materialized trace; in online mode the verdict is read from the
-        streaming suite that consumed every event as it was recorded.
-        """
+        """Install, run to the horizon, and read the verdict from the
+        streaming suite that consumed every event as it was recorded."""
         session = self.session
         try:
             self._install()
@@ -588,7 +560,6 @@ class ScenarioEngine:
                 sample.live_pending_events for sample in self.samples
             ),
             samples=list(self.samples),
-            analysis=self.analysis,
             trace_events=session_result.trace_events,
             trace_events_stored=session_result.trace_events_stored,
             metrics=session_result.metrics,
@@ -600,19 +571,16 @@ class ScenarioEngine:
             sink_errors=session_result.sink_errors,
         )
 
-    def _latency_reservoir(self) -> Optional[LatencyReservoir]:
+    def _latency_reservoir(self) -> LatencyReservoir:
         """The run's exact delivery-latency reservoir.
 
         Profile workloads merge the per-group clients' reservoirs (each is
-        exact over that client's admitted messages).  Closed-loop runs fall
-        back to the online MetricsSink's reservoir, which samples every
-        delivery; offline closed-loop runs have no streaming aggregate and
-        return ``None``.
+        exact over that client's admitted messages).  Closed-loop runs use
+        the MetricsSink's reservoir, which samples every delivery.
         """
         if self.clients:
             return LatencyReservoir.merged(client.latency for client in self.clients)
-        sink = self.session.metrics_sink
-        return sink.latency if sink is not None else None
+        return self.session.metrics_sink.latency
 
     def _workload_stats(self) -> Optional[Dict[str, object]]:
         if not self.clients:
@@ -640,7 +608,6 @@ class ScenarioEngine:
 def run_scenario(
     config: Mapping,
     latency_model: Optional[LatencyModel] = None,
-    analysis: str = "offline",
     sinks: Optional[List[TraceSink]] = None,
     stack: Union[str, ProtocolStack] = "newtop",
     on_unsupported: str = "raise",
@@ -652,7 +619,6 @@ def run_scenario(
     return ScenarioEngine(
         spec,
         latency_model=latency_model,
-        analysis=analysis,
         sinks=sinks,
         stack=stack,
         on_unsupported=on_unsupported,
@@ -665,7 +631,6 @@ def run_scenarios(
     parallel: Optional[int] = None,
     timeout: Optional[float] = None,
     latency_model: Optional[LatencyModel] = None,
-    analysis: str = "offline",
     stack: Union[str, ProtocolStack] = "newtop",
     on_unsupported: str = "raise",
     progress=None,
@@ -694,7 +659,6 @@ def run_scenarios(
             result = run_scenario(
                 config,
                 latency_model=latency_model,
-                analysis=analysis,
                 stack=stack,
                 on_unsupported=on_unsupported,
                 observe=observe,
@@ -719,7 +683,6 @@ def run_scenarios(
             args=(config,),
             kwargs={
                 "latency_model": latency_model,
-                "analysis": analysis,
                 "stack": stack,
                 "on_unsupported": on_unsupported,
                 # Shipped as the raw coercible value (bool/str/dict): an

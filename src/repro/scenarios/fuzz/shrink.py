@@ -38,6 +38,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.analysis.checkers import check_same_view_delivery_sets
+from repro.net.trace import MemorySink
 from repro.scenarios.engine import run_scenario
 from repro.scenarios.spec import InvalidScenarioSpec, from_config
 
@@ -76,6 +78,29 @@ def implicated_message_ids(violations: Sequence[str]) -> List[str]:
     return seen
 
 
+def _virtual_synchrony_message_ids(config: Mapping, stack: str) -> List[str]:
+    """Message ids behind a virtual-synchrony violation, named by the
+    post-hoc oracle over one replay's trace.
+
+    The streaming checker compares per-view delivery-set fingerprints, so
+    its violation names the processes and counts but not the messages;
+    :func:`~repro.analysis.checkers.check_same_view_delivery_sets` over a
+    :class:`~repro.net.trace.MemorySink` of the same deterministic run
+    lists the differing ids.  Diagnostic only -- the verdict stays the
+    streaming suite's.
+    """
+    sink = MemorySink()
+    result = run_scenario(config, stack=stack, sinks=[sink])
+    trace = sink.trace()
+    violations: List[str] = []
+    for group in trace.groups():
+        expected = result.agreement_sets.get(group)
+        violations.extend(
+            check_same_view_delivery_sets(trace, group, expected).violations
+        )
+    return implicated_message_ids(violations)
+
+
 def explain_journeys(
     config: Mapping,
     violations: Sequence[str],
@@ -87,14 +112,20 @@ def explain_journeys(
 
     The replay is deterministic (same spec, same seed), so the journeys
     describe exactly the run that violated -- created / sent / held /
-    sequenced / delivered transitions with simulated timestamps.  Returns
-    ``[]`` when no violation names a message id, or on replay failure
-    (explanations are best-effort evidence, never a second crash).
+    sequenced / delivered transitions with simulated timestamps.  When no
+    violation names a message id (the streaming virtual-synchrony check
+    reports counts, not ids), one extra replay asks the post-hoc oracle
+    which messages the delivery sets differ on.  Returns ``[]`` when no
+    message is implicated either way, or on replay failure (explanations
+    are best-effort evidence, never a second crash).
     """
-    force_ids = implicated_message_ids(violations)[:max_messages]
-    if not force_ids:
-        return []
     try:
+        force_ids = implicated_message_ids(violations)
+        if not force_ids:
+            force_ids = _virtual_synchrony_message_ids(config, stack)
+        force_ids = force_ids[:max_messages]
+        if not force_ids:
+            return []
         result = run_scenario(
             config,
             stack=stack,

@@ -22,8 +22,7 @@ after each scenario either way -- so one report object covers both
 execution modes::
 
     report = RollingReport(expected=len(configs), printer=print)
-    results = run_scenarios(configs, parallel=8, analysis="online",
-                            progress=report)
+    results = run_scenarios(configs, parallel=8, progress=report)
     assert report.all_passed
     print(report.summary()["latency"])     # exact cross-shard percentiles
 """
@@ -77,9 +76,6 @@ class RollingReport:
             if capacity is not None
             else LatencyReservoir()
         )
-        #: Shards that carried no latency reservoir (offline closed-loop
-        #: runs) -- their deliveries are absent from :attr:`latency`.
-        self.shards_without_latency = 0
 
     # ------------------------------------------------------------------
     # The progress hook
@@ -102,10 +98,7 @@ class RollingReport:
         self.messages_sent += result.messages_sent
         self.trace_events += result.trace_events
         self.trace_events_stored += result.trace_events_stored
-        if result.latency_reservoir is not None:
-            self.latency.merge(result.latency_reservoir)
-        else:
-            self.shards_without_latency += 1
+        self.latency.merge(result.latency_reservoir)
         if self.printer is not None:
             self.printer(self.line(result))
 
@@ -119,7 +112,7 @@ class RollingReport:
         return (
             f"[shard {self.completed:4d}{total}] {result.name}: {verdict} "
             f"events={result.events_processed} deliveries={result.deliveries} "
-            f"({result.analysis}, {result.trace_events_stored} stored)"
+            f"({result.trace_events} trace events, {result.trace_events_stored} stored)"
         )
 
     # ------------------------------------------------------------------
@@ -144,7 +137,6 @@ class RollingReport:
             "trace_events_stored": self.trace_events_stored,
             "latency": self.latency.summary(),
             "latency_exact": self.latency.is_exact,
-            "shards_without_latency": self.shards_without_latency,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

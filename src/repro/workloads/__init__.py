@@ -19,7 +19,7 @@ materialized schedule and no stored trace, at any scale::
     from repro.api import Session
     from repro.workloads import OpenLoopClient, get_profile
 
-    session = Session(stack="newtop", analysis="online", seed=7)
+    session = Session(stack="newtop", seed=7)
     session.spawn(["P1", "P2", "P3"])
     session.group("g")
     client = session.attach_client(

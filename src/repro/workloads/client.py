@@ -6,7 +6,7 @@ arrival is one scheduled simulator event that draws the next
 ``(sender, group)`` from its profile's selection policy, attempts the
 multicast through the session's stack, and schedules the next arrival from
 the profile's arrival process.  Nothing is materialized up front, so the
-client composes with ``analysis="online"`` runs of any size.
+client composes with streaming-verified runs of any size.
 
 The client is **backpressure-aware**: it counts every attempt as *offered*
 load and splits the outcome into *admitted* (the stack returned a message

@@ -9,24 +9,16 @@ from repro.analysis.checkers import (
     check_total_order,
     check_view_sequences,
 )
-from repro.analysis.metrics import (
-    LatencySummary,
-    build_report,
-    messages_per_delivered_multicast,
-    summarize_latencies,
-    view_agreement_latency,
-)
+from repro.analysis.metrics import view_agreement_latency
 from repro.analysis.overhead import (
     isis_overhead_bytes,
     newtop_overhead_bytes,
     piggyback_overhead_bytes,
     psync_overhead_bytes,
 )
-from harness import NewtopCluster
-
-from repro.core import NewtopConfig
-from repro.net.network import NetworkStats
+from repro.api import Session
 from repro.net.trace import DELIVER, SEND, SUSPECT, TraceRecorder, VIEW_INSTALL
+from repro.stats import LatencyReservoir
 
 
 # ----------------------------------------------------------------------
@@ -115,30 +107,40 @@ def test_check_result_merge():
 # Metrics
 # ----------------------------------------------------------------------
 def test_latency_summary():
-    summary = summarize_latencies([1.0, 2.0, 3.0, 4.0])
-    assert summary.count == 4
-    assert summary.mean == pytest.approx(2.5)
-    assert summary.minimum == 1.0 and summary.maximum == 4.0
-    assert summarize_latencies([]) == LatencySummary.empty()
+    """The one latency summary: LatencyReservoir (nearest-rank percentiles)."""
+    reservoir = LatencyReservoir()
+    for sample in (3.0, 1.0, 4.0, 2.0):
+        reservoir.add(sample)
+    summary = reservoir.summary(percentiles=(50, 95))
+    assert summary["count"] == 4
+    assert summary["mean"] == pytest.approx(2.5)
+    assert summary["min"] == 1.0 and summary["max"] == 4.0
+    assert summary["p50"] == 2.0 and summary["p95"] == 4.0
+    empty = LatencyReservoir().summary(percentiles=(50,))
+    assert empty == {"count": 0, "mean": None, "min": None, "max": None, "p50": None}
 
 
 def test_build_report_from_real_run():
-    config = NewtopConfig(omega=2.0, suspicion_timeout=8.0)
-    cluster = NewtopCluster(["P1", "P2", "P3"], config=config, seed=3)
-    cluster.create_group("g")
+    """A run's counts and latency come from its MetricsSink snapshot."""
+    session = Session(
+        "newtop", config={"omega": 2.0, "suspicion_timeout": 8.0}, seed=3
+    )
+    session.spawn(["P1", "P2", "P3"])
+    session.group("g")
     for i in range(5):
-        cluster["P1"].multicast("g", i)
-    cluster.run(60)
-    report = build_report(cluster.trace(), cluster.network.stats, duration=60.0, group="g")
-    assert report.application_sends == 5
-    assert report.application_deliveries == 15
-    assert report.delivery_latency.count == 15
-    assert report.throughput > 0
-    assert report.null_messages > 0
-    flattened = report.as_dict()
-    assert flattened["application_sends"] == 5.0
-    ratio = messages_per_delivered_multicast(cluster.trace(), cluster.network.stats, "g")
-    assert ratio > 0
+        session.multicast("P1", "g", i)
+    session.run(60)
+    result = session.result()
+    assert result.passed
+    by_kind = result.metrics["by_kind"]
+    assert by_kind["send"] == 5
+    assert by_kind["deliver"] == 15 == result.deliveries
+    assert by_kind["null_send"] > 0
+    assert result.metrics["deliveries_by_group"] == {"g": 15}
+    latency = result.metrics["latency"]
+    assert latency["count"] == 15
+    assert 0 < latency["min"] <= latency["p50"] <= latency["p95"] <= latency["max"]
+    assert result.messages_sent > by_kind["send"]
 
 
 def test_view_agreement_latency_metric():

@@ -18,6 +18,7 @@ from repro.api import (
     available_stacks,
     get_stack,
 )
+from repro.net.trace import MemorySink
 from repro.scenarios import churn_scenario, run_scenario
 
 NAMES = ["A", "B", "C", "D"]
@@ -37,7 +38,7 @@ def _drive(session, senders=("A", "B"), group="g", count=2, horizon=60):
 
 @pytest.mark.parametrize("stack", sorted(COMPARISON_STACKS))
 def test_session_lifecycle_on_every_comparison_stack(stack):
-    session = Session(stack=stack, seed=3, analysis="online")
+    session = Session(stack=stack, seed=3)
     session.spawn(NAMES)
     session.group("g")
     _drive(session)
@@ -52,14 +53,21 @@ def test_session_lifecycle_on_every_comparison_stack(stack):
 
 
 def test_session_offline_mode_materializes_a_trace():
-    session = Session(stack="fixed_sequencer", seed=1)
+    """The session never stores events itself; an attached MemorySink is
+    how a caller keeps them, while the verdict still streams."""
+    sink = MemorySink()
+    session = Session(stack="fixed_sequencer", seed=1, sinks=[sink])
     session.spawn(NAMES)
     session.group("g")
     _drive(session)
-    trace = session.trace()
+    trace = sink.trace()
     assert len(trace.events(kind="deliver")) == session.deliveries()
     result = session.result()
-    assert result.passed and result.analysis == "offline"
+    assert result.passed
+    assert result.checks is not None and result.checks.passed  # streamed
+    assert result.trace_events_stored == 0
+    assert result.trace_events == len(sink)
+    assert result.metrics["by_kind"]["deliver"] == session.deliveries()
 
 
 def test_per_stack_check_selection():
@@ -69,7 +77,7 @@ def test_per_stack_check_selection():
     assert get_stack("newtop").check_scope == "global"
     assert get_stack("isis").check_scope == "group"
     # An explicit subset overrides the stack's declaration...
-    session = Session(stack="lamport_ack", seed=2, analysis="online",
+    session = Session(stack="lamport_ack", seed=2,
                       checks=("total_order",))
     session.spawn(NAMES)
     session.group("g")
@@ -161,7 +169,7 @@ def test_crash_events_apply_to_baseline_stacks():
         "events": [{"time": 4.0, "kind": "crash", "targets": ["P004"]}],
         "drain": 20.0,
     }
-    result = run_scenario(config, stack="isis", analysis="online")
+    result = run_scenario(config, stack="isis")
     assert result.passed, result.checks.violations[:3]
     assert result.stack == "isis"
     assert result.skipped_events == []
@@ -180,7 +188,7 @@ def test_churn_scenario_runs_on_all_six_stacks():
     deliveries = {}
     for stack in COMPARISON_STACKS:
         result = run_scenario(
-            config, stack=stack, analysis="online", on_unsupported="skip"
+            config, stack=stack, on_unsupported="skip"
         )
         assert result.passed, (stack, result.checks.violations[:3])
         assert result.trace_events_stored == 0

@@ -221,7 +221,6 @@ def test_sequenced_loopback_does_not_invert_cross_group_order():
     session = Session(
         "newtop-asymmetric",
         config=dict(omega=1.5, suspicion_timeout=6.0, suspector_check_interval=0.5),
-        analysis="online",
         checks=("total_order", "sender_in_view", "causal_prefix"),
         seed=7,
     )

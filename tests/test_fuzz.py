@@ -21,11 +21,15 @@ import json
 
 import pytest
 
+from repro.analysis import check_all
+from repro.net.trace import MemorySink
 from repro.scenarios import ScenarioExecutionError, churn_scenario, run_scenario, run_scenarios
 from repro.scenarios.fuzz import (
     GeneratorTuning,
+    explain_journeys,
     generate_config,
     generate_spec,
+    implicated_message_ids,
     replay_artifact,
     run_campaign,
     run_fuzz_unit,
@@ -176,7 +180,7 @@ def test_scenario_batch_failures_carry_replay_info():
     bad = dict(good)
     bad["groups"] = [{"id": "broken", "members": ["nobody", "nothing"]}]
     with pytest.raises(ScenarioExecutionError) as excinfo:
-        run_scenarios([good, bad], parallel=2, analysis="online")
+        run_scenarios([good, bad], parallel=2)
     (failure,) = excinfo.value.failures
     assert failure.index == 1
     assert failure.config == bad
@@ -233,6 +237,11 @@ def test_fuzzer_finds_and_shrinks_a_reintroduced_protocol_bug(tmp_path):
     assert failure.minimized["protocol"] == {"use_view_cut_marker": False}
     assert failure.shrink_runs <= 60
 
+    # The shrunk repro is explained: the streaming violation names no
+    # message, so the journeys come from the oracle's differing ids.
+    assert failure.journeys
+    assert all(journey["msg_id"] for journey in failure.journeys)
+
     # The artifact replays standalone, reproduces the same violation kind,
     # and does so deterministically.
     assert failure.artifact is not None
@@ -244,6 +253,28 @@ def test_fuzzer_finds_and_shrinks_a_reintroduced_protocol_bug(tmp_path):
     # The full (unshrunk) failure config replays the violation too.
     replay = run_scenario(copy.deepcopy(failure.config))
     assert any("virtual synchrony" in v for v in replay.checks.violations)
+
+
+def test_streaming_verdict_matches_oracle_and_explains_the_mutant():
+    """On the violating mutant run the streaming verdict and the post-hoc
+    oracle agree, and the journey explanation recovers the messages the
+    streaming virtual-synchrony violation does not name."""
+    config = generate_config(7, 3, MUTANT_TUNING)
+    sink = MemorySink()
+    result = run_scenario(copy.deepcopy(config), sinks=[sink])
+    oracle = check_all(sink.trace(), view_agreement_sets=result.agreement_sets)
+    assert not result.passed and not oracle.passed
+    assert any("virtual synchrony" in v for v in result.checks.violations)
+    assert any("virtual synchrony" in v for v in oracle.violations)
+
+    streaming = [v for v in result.checks.violations if "virtual synchrony" in v]
+    assert implicated_message_ids(streaming) == []
+    journeys = explain_journeys(copy.deepcopy(config), streaming)
+    named = implicated_message_ids(
+        [v for v in oracle.violations if "virtual synchrony" in v]
+    )
+    assert journeys
+    assert {journey["msg_id"] for journey in journeys} <= set(named)
 
 
 def test_same_corpus_is_clean_without_the_mutation():

@@ -109,7 +109,7 @@ class _TraceHashSink(TraceSink):
 
 def _golden_fingerprint(config):
     sink = _TraceHashSink()
-    result = run_scenario(config, analysis="online", sinks=[sink])
+    result = run_scenario(config, sinks=[sink])
     return {
         "events_processed": result.events_processed,
         "deliveries": result.deliveries,
@@ -128,7 +128,7 @@ _SCENARIOS = {
     "churn_link_faults": _churn_with_link_faults,
 }
 
-#: Recorded with ``analysis="online"``.  ``churn``, ``mixed_modes`` and
+#: Recorded with streaming verification.  ``churn``, ``mixed_modes`` and
 #: ``cascading_partitions`` also equal the all-reference run (heap-only
 #: scheduler, dict vectors, per-message receipts).  ``churn_link_faults``
 #: is the batched path only: under reorder faults a pass per receipt gives
@@ -170,7 +170,7 @@ def test_removed_hot_path_toggles_fail_loudly(key, stack):
     """A config naming a deleted toggle must not silently run the kept
     path: that would let a stale "reference" run pass as one."""
     with pytest.raises(StackError, match=key):
-        run_scenario(_churn_config(**{key: False}), stack=stack, analysis="online")
+        run_scenario(_churn_config(**{key: False}), stack=stack)
     with pytest.raises(StackError, match=key):
         Session(stack, config={key: False})
 
@@ -478,10 +478,10 @@ def _per_message_receipts(monkeypatch):
     ids=["heap-scheduler", "dict-vectors", "per-message-receipts", "all-reference"],
 )
 def test_churn_run_identical_across_hot_path_toggles(references, monkeypatch):
-    fast = run_scenario(_churn_config(), analysis="online")
+    fast = run_scenario(_churn_config())
     for install in references:
         install(monkeypatch)
-    reference = run_scenario(_churn_config(), analysis="online")
+    reference = run_scenario(_churn_config())
     assert fast.passed and reference.passed
     assert _fingerprint(fast) == _fingerprint(reference)
 
@@ -519,8 +519,8 @@ def test_churn_run_identical_with_zero_rate_link_faults_attached():
     comparable with the rest of the suite."""
     config = _churn_config()
     config["link_faults"] = {"seed": 11}
-    plain = run_scenario(_churn_config(), analysis="online")
-    attached = run_scenario(config, analysis="online")
+    plain = run_scenario(_churn_config())
+    attached = run_scenario(config)
     assert plain.passed and attached.passed
     assert _fingerprint(plain) == _fingerprint(attached)
 
@@ -542,8 +542,8 @@ def _observation_fingerprint(result):
     "observe", ["metrics", "journeys", "full"], ids=["metrics", "journeys", "full"]
 )
 def test_churn_run_identical_with_observation_attached(observe):
-    plain = run_scenario(_churn_config(), analysis="online")
-    observed = run_scenario(_churn_config(), analysis="online", observe=observe)
+    plain = run_scenario(_churn_config())
+    observed = run_scenario(_churn_config(), observe=observe)
     assert plain.passed and observed.passed
     assert _observation_fingerprint(plain) == _observation_fingerprint(observed)
     assert plain.obs is None and observed.obs is not None
@@ -553,17 +553,19 @@ def test_churn_run_identical_with_observation_attached(observe):
 
 
 def test_observation_leaves_trace_stream_byte_identical():
-    """Stronger than the fingerprint: the full offline event stream --
+    """Stronger than the fingerprint: the full event stream --
     every (seq, time, kind, process, message, details) tuple -- must be
     identical with metrics + sampler + profiler + spans + journeys
     attached ("full" includes journey tracing, so this also pins the
     journey tracker as behaviour-free)."""
     from repro.api import Session
     from repro.core.messages import reset_message_counter
+    from repro.net.trace import MemorySink
 
     def stream(observe):
         reset_message_counter()
-        session = Session("newtop", seed=9, observe=observe)
+        sink = MemorySink()
+        session = Session("newtop", seed=9, observe=observe, sinks=[sink])
         session.spawn([f"P{index}" for index in range(6)])
         session.group("g")
         for index in range(5):
@@ -575,7 +577,7 @@ def test_observation_leaves_trace_stream_byte_identical():
         return [
             (e.seq, e.time, e.kind, e.process, e.group, e.message_id,
              e.sender, e.clock, e.details)
-            for e in session.trace().events()
+            for e in sink.trace().events()
         ]
 
     assert stream(None) == stream("full")

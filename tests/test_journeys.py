@@ -85,7 +85,7 @@ def test_journey_sampling_deterministic_across_identical_runs():
         # both runs see identical ids (run_scenario resets it itself).
         reset_message_counter()
         session = Session(
-            "newtop", seed=11, analysis="online",
+            "newtop", seed=11,
             observe={"journeys": True, "journey_sample_rate": 2},
         )
         session.spawn(["P1", "P2", "P3"])
@@ -181,7 +181,7 @@ def test_cause_counters_partition_transport_sends_at_smoke_scale():
     _benchmarks_on_path()
     from bench_scenario_churn import SMOKE_SCALE, run_churn
 
-    result = run_churn(SMOKE_SCALE, analysis="online", observe="journeys")
+    result = run_churn(SMOKE_SCALE, observe="journeys")
     counters = result.obs["metrics"]["counters"]
     by_cause = result.obs["journeys"]["sends_by_cause"]
     assert sum(by_cause.values()) == counters["transport.sends"] > 0
@@ -202,7 +202,7 @@ def test_cause_counters_partition_transport_sends_at_smoke_scale():
 # ----------------------------------------------------------------------
 def _journeys_document(tmp_path, name="BENCH_j.json", benchmark="unit"):
     session = Session(
-        "newtop", seed=11, analysis="online",
+        "newtop", seed=11,
         observe={"journeys": True, "journey_sample_rate": 1},
     )
     session.spawn(["P1", "P2", "P3"])

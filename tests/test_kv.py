@@ -37,7 +37,7 @@ LAYOUT = {
 
 def make_store(mode=OrderingMode.SYMMETRIC, seed=3, layout=LAYOUT, spares=()):
     oracle = KVOracle()
-    session = Session("newtop", seed=seed, analysis="online", sinks=[oracle])
+    session = Session("newtop", seed=seed, sinks=[oracle])
     session.spawn([pid for members in layout.values() for pid in members])
     if spares:
         session.spawn(list(spares))

@@ -147,8 +147,8 @@ def _protocol_fingerprint(result):
 
 
 def test_zero_rate_model_is_byte_identical_to_no_model():
-    plain = run_scenario(_churn_config(), analysis="online")
-    attached = run_scenario(_churn_config(link_faults={"seed": 11}), analysis="online")
+    plain = run_scenario(_churn_config())
+    attached = run_scenario(_churn_config(link_faults={"seed": 11}))
     assert plain.passed
     assert _fingerprint(plain) == _fingerprint(attached)
 
@@ -163,8 +163,8 @@ def test_zero_rate_model_is_byte_identical_to_no_model():
     ids=["duplicate", "reorder+duplicate", "per-link"],
 )
 def test_seeded_faults_replay_byte_identically(faults):
-    first = run_scenario(_churn_config(link_faults=faults), analysis="online")
-    again = run_scenario(_churn_config(link_faults=faults), analysis="online")
+    first = run_scenario(_churn_config(link_faults=faults))
+    again = run_scenario(_churn_config(link_faults=faults))
     assert first.passed, list(first.checks.violations)
     assert _fingerprint(first) == _fingerprint(again)
 
@@ -172,11 +172,9 @@ def test_seeded_faults_replay_byte_identically(faults):
 def test_fault_seed_changes_the_decision_stream():
     one = run_scenario(
         _churn_config(link_faults={"seed": 9, "reorder": 0.2, "duplicate": 0.1}),
-        analysis="online",
     )
     other = run_scenario(
         _churn_config(link_faults={"seed": 10, "reorder": 0.2, "duplicate": 0.1}),
-        analysis="online",
     )
     assert one.passed and other.passed
     assert _fingerprint(one) != _fingerprint(other)
@@ -186,9 +184,9 @@ def test_duplicates_never_reach_the_protocol():
     """A duplicated frame is extra network traffic the transport's sequence
     numbers must swallow: the protocol-visible run -- deliveries, trace,
     agreement sets, verdicts -- is identical to the fault-free baseline."""
-    plain = run_scenario(_churn_config(), analysis="online")
+    plain = run_scenario(_churn_config())
     noisy = run_scenario(
-        _churn_config(link_faults={"seed": 3, "duplicate": 0.4}), analysis="online"
+        _churn_config(link_faults={"seed": 3, "duplicate": 0.4})
     )
     assert _protocol_fingerprint(plain) == _protocol_fingerprint(noisy)
     # ... while the duplicates themselves demonstrably happened.

@@ -271,7 +271,7 @@ def test_observation_coercion_modes():
 
 
 def _observed_session(observe):
-    session = Session("newtop", seed=5, analysis="online", observe=observe)
+    session = Session("newtop", seed=5, observe=observe)
     session.spawn(["P1", "P2", "P3"])
     session.group("g")
     for index in range(4):
@@ -383,12 +383,10 @@ def test_latency_block_prefers_metrics_snapshot():
 
     result = _observed_session(True)
     assert latency_block(result) is result.metrics["latency"]
-
-    class _Bare:
-        metrics = None
-        latency_reservoir = None
-
-    assert latency_block(_Bare()) is None
+    # A session without the observation layer carries the snapshot too.
+    plain = _observed_session(None)
+    assert latency_block(plain) is plain.metrics["latency"]
+    assert latency_block(plain) == latency_block(result)
 
 
 def test_write_bench_json_stamps_provenance(tmp_path):

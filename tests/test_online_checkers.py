@@ -1,11 +1,12 @@
 """Tests for the streaming verification & observability subsystem.
 
-Covers the ISSUE-2 surface: the trace-sink architecture (memory, JSONL,
-metrics, null sinks; streaming recorders that never materialize a trace),
-online/offline checker equivalence on seeded scenario traces, mutation
+Covers the trace-sink architecture (memory, JSONL, metrics, null sinks;
+streaming recorders that never materialize a trace), agreement between
+the streaming verdict and the post-hoc oracle (``check_all`` over a
+:class:`MemorySink` of the same run) on seeded scenarios, mutation
 sensitivity (both suites must catch seeded violations), the scenario
-engine's ``analysis="online"`` mode, and the satellite fixes (first-send
-latency samples, happened-before memoization, per-kind event indexes).
+engine's streaming-only verification, and first-send latency samples,
+happened-before memoization and per-kind event indexes.
 """
 
 import dataclasses
@@ -16,8 +17,11 @@ import pytest
 
 from repro.analysis import check_all, check_events
 from repro.analysis.online import OnlineCheckSuite
+from repro.api import Session
+from repro.core import OrderingMode
 from repro.net.trace import (
     DELIVER,
+    EventTrace,
     JsonlSink,
     MemorySink,
     MetricsSink,
@@ -42,11 +46,15 @@ from repro.scenarios import (
 # ---------------------------------------------------------------------------
 
 
-def run_offline(config):
-    """Run a scenario offline; return (engine, result, event list)."""
-    engine = ScenarioEngine(from_config(config))
+def run_with_memory(config):
+    """Run a scenario once with a :class:`MemorySink` attached; return
+    (engine, result, event list).  ``result.checks`` is the streaming
+    verdict; the sink's events feed the post-hoc oracle and the mutation
+    tests."""
+    sink = MemorySink()
+    engine = ScenarioEngine(from_config(config), sinks=[sink])
     result = engine.run()
-    return engine, result, list(engine.cluster.trace())
+    return engine, result, list(sink.events)
 
 
 def replay_online(events, agreement_sets=None):
@@ -133,6 +141,44 @@ def test_metrics_sink_uses_first_send_time():
     assert metrics.deliveries_by_group == {"g": 1}
 
 
+def test_metrics_sink_pairs_a_delivery_recorded_before_its_send():
+    """An asymmetric sequencer delivers its own multicast before the SEND
+    is recorded (same instant); the sample is held, not lost."""
+    metrics = MetricsSink()
+    recorder = TraceRecorder(sinks=[metrics])
+    recorder.record(2.0, DELIVER, "P1", group="g", message_id="m1", sender="P1")
+    recorder.record(2.0, SEND, "P1", group="g", message_id="m1", sender="P1")
+    recorder.record(3.5, DELIVER, "P2", group="g", message_id="m1", sender="P1")
+    # A delivery whose send never comes is dropped once time moves on.
+    recorder.record(4.0, DELIVER, "P2", group="g", message_id="orphan", sender="P3")
+    recorder.record(5.0, DELIVER, "P2", group="g", message_id="late", sender="P3")
+    recorder.record(9.0, SEND, "P3", group="g", message_id="orphan", sender="P3")
+    assert metrics.latency_count == 2
+    assert metrics.latency_mean == pytest.approx(0.75)
+    assert metrics.latency_min == 0.0 and metrics.latency_max == 1.5
+
+
+def test_metrics_sink_latency_matches_trace_on_an_asymmetric_run():
+    """The sequencer's own multicasts are sampled too (at latency 0)."""
+    sink = MemorySink()
+    session = Session(seed=3, sinks=[sink])
+    session.spawn(["P0", "P1", "P2"])
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
+    for index in range(3):
+        for sender in ("P0", "P1", "P2"):
+            session.multicast(sender, "g", f"{sender}-{index}")
+        session.run(1.0)
+    session.run(30.0)
+    result = session.result()
+    assert result.passed
+    samples = sink.trace().delivery_latencies()
+    assert 0.0 in samples
+    latency = result.metrics["latency"]
+    assert latency["count"] == len(samples) == result.deliveries
+    assert latency["mean"] == pytest.approx(sum(samples) / len(samples))
+    assert latency["min"] == min(samples) and latency["max"] == max(samples)
+
+
 def test_event_trace_delivery_latencies_keep_first_send_time():
     recorder = TraceRecorder()
     recorder.record(1.0, SEND, "P1", group="g", message_id="m1", sender="P1")
@@ -142,9 +188,7 @@ def test_event_trace_delivery_latencies_keep_first_send_time():
 
 
 def test_event_trace_kind_indexes_match_full_scan():
-    _, _, events = run_offline(churn_scenario(**SMALL_CHURN))
-    from repro.net.trace import EventTrace
-
+    _, _, events = run_with_memory(churn_scenario(**SMALL_CHURN))
     trace = EventTrace(events)
     for kind in (SEND, DELIVER, VIEW_INSTALL):
         indexed = trace.events(kind=kind)
@@ -157,16 +201,14 @@ def test_event_trace_kind_indexes_match_full_scan():
 
 
 def test_happened_before_pairs_memoized():
-    _, _, events = run_offline(churn_scenario(**SMALL_CHURN))
-    from repro.net.trace import EventTrace
-
+    _, _, events = run_with_memory(churn_scenario(**SMALL_CHURN))
     trace = EventTrace(events)
     first = trace.happened_before_pairs()
     assert trace.happened_before_pairs() is first  # cached, not recomputed
 
 
 # ---------------------------------------------------------------------------
-# Online/offline equivalence on seeded scenario traces
+# Streaming verdict vs the post-hoc oracle on the same seeded run
 # ---------------------------------------------------------------------------
 
 
@@ -190,14 +232,16 @@ def test_happened_before_pairs_memoized():
     ],
 )
 def test_online_and_offline_checkers_agree(config):
-    engine, result, events = run_offline(config)
+    engine, result, events = run_with_memory(config)
     agreement = engine.expected_agreement_sets()
-    offline = check_all(engine.cluster.trace(), view_agreement_sets=agreement)
-    online = replay_online(events, agreement)
+    offline = check_all(EventTrace(events), view_agreement_sets=agreement)
+    online = result.checks
     assert offline.passed and online.passed, (
         offline.violations[:3],
         online.violations[:3],
     )
+    # A fresh suite replaying the captured events reaches the same verdict.
+    assert replay_online(events, agreement).passed
     assert result.passed
 
 
@@ -208,8 +252,11 @@ def test_online_and_offline_checkers_agree(config):
 
 @pytest.fixture(scope="module")
 def churn_run():
-    engine, result, events = run_offline(churn_scenario(**SMALL_CHURN))
+    engine, result, events = run_with_memory(churn_scenario(**SMALL_CHURN))
+    # The unmutated run: streaming verdict and oracle agree that it passed.
+    agreement = engine.expected_agreement_sets()
     assert result.passed
+    assert check_all(EventTrace(events), view_agreement_sets=agreement).passed
     return engine, events
 
 
@@ -250,8 +297,6 @@ def test_swapped_deliveries_caught_by_both(churn_run):
     assert candidate is not None, "scenario produced no shared delivery pair"
     mutated = _swap_events(events, *candidate)
 
-    from repro.net.trace import EventTrace
-
     offline = check_all(EventTrace(mutated), view_agreement_sets=agreement)
     online = replay_online(mutated, agreement)
     assert not offline.passed
@@ -280,8 +325,6 @@ def test_dropped_view_install_caught_by_both(churn_run):
             break
     assert target is not None, "scenario produced no multi-install agreement group"
     mutated = [event for event in events if event.seq != target.seq]
-
-    from repro.net.trace import EventTrace
 
     offline = check_all(EventTrace(mutated), view_agreement_sets=agreement)
     online = replay_online(mutated, agreement)
@@ -329,8 +372,6 @@ def test_delivery_from_excluded_sender_caught_by_both(churn_run):
     )
     mutated = events + [forged]
 
-    from repro.net.trace import EventTrace
-
     offline = check_all(EventTrace(mutated), view_agreement_sets=agreement)
     online = replay_online(mutated, agreement)
     assert not offline.passed
@@ -339,21 +380,20 @@ def test_delivery_from_excluded_sender_caught_by_both(churn_run):
 
 
 # ---------------------------------------------------------------------------
-# Engine online mode
+# Engine: streaming-only verification
 # ---------------------------------------------------------------------------
 
 
 def test_engine_online_mode_passes_without_materializing():
     config = churn_scenario(**SMALL_CHURN)
-    engine = ScenarioEngine(from_config(config), analysis="online")
+    engine = ScenarioEngine(from_config(config))
     result = engine.run()
     assert result.passed, result.checks.violations[:3]
-    assert result.analysis == "online"
     assert result.trace_events > 0
     assert result.trace_events_stored == 0
-    assert engine.cluster.recorder.stored_events == 0
+    assert engine.session.recorder.stored_events == 0
     with pytest.raises(RuntimeError):
-        engine.cluster.trace()
+        engine.session.recorder.trace()
     # The rolling metrics sink saw every delivery the processes report.
     assert result.metrics["by_kind"]["deliver"] == result.deliveries
     assert result.metrics["latency"]["count"] > 0
@@ -361,10 +401,15 @@ def test_engine_online_mode_passes_without_materializing():
 
 def test_engine_online_and_offline_verdicts_match_end_to_end():
     config = merge_storm_scenario(n_processes=6, n_groups=2, group_size=4, cycles=2)
-    offline = run_scenario(config)
-    online = run_scenario(config, analysis="online")
-    assert offline.passed == online.passed == True  # noqa: E712
-    assert offline.deliveries == online.deliveries
+    sink = MemorySink()
+    result = run_scenario(config, sinks=[sink])
+    oracle = check_all(sink.trace(), view_agreement_sets=result.agreement_sets)
+    assert result.checks.passed == oracle.passed == True  # noqa: E712
+    assert result.passed
+    # The sink saw the whole run, and the recorder itself kept nothing.
+    assert len(sink) == result.trace_events
+    assert result.trace_events_stored == 0
+    assert len(sink.trace().events(kind=DELIVER)) == result.deliveries
 
 
 def test_engine_rejects_unknown_analysis_mode():
@@ -372,10 +417,25 @@ def test_engine_rejects_unknown_analysis_mode():
         ScenarioEngine(from_config(churn_scenario(**SMALL_CHURN)), analysis="psychic")
 
 
+def test_removed_offline_mode_fails_loudly():
+    config = churn_scenario(**SMALL_CHURN)
+    with pytest.raises(ValueError, match="MemorySink"):
+        Session(analysis="offline")
+    with pytest.raises(ValueError, match="offline analysis mode was removed"):
+        ScenarioEngine(from_config(config), analysis="offline")
+    with pytest.raises(TypeError):
+        run_scenario(config, analysis="offline")
+    with pytest.raises(TypeError):
+        run_scenario(config, analysis="online")
+    # "online" stays accepted by the two constructors, as the only value.
+    assert Session(analysis="online").suite is not None
+    assert not hasattr(Session, "trace")
+
+
 def test_engine_extra_jsonl_sink_in_online_mode(tmp_path):
     path = str(tmp_path / "trace.jsonl")
     config = mixed_modes_scenario(n_processes=6)
-    result = run_scenario(config, analysis="online", sinks=[JsonlSink(path)])
+    result = run_scenario(config, sinks=[JsonlSink(path)])
     assert result.passed
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()

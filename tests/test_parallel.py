@@ -181,8 +181,8 @@ def test_scenario_batch_parallel_equals_serial():
         )
         for seed in (3, 5, 8)
     ]
-    serial = run_scenarios(configs, analysis="online")
-    pooled = run_scenarios(configs, parallel=2, analysis="online")
+    serial = run_scenarios(configs)
+    pooled = run_scenarios(configs, parallel=2)
     assert [_scenario_fingerprint(r) for r in serial] == [
         _scenario_fingerprint(r) for r in pooled
     ]
@@ -195,7 +195,7 @@ def test_scenario_batch_surfaces_worker_casualties():
     bad = dict(good)
     bad["groups"] = [{"id": "broken", "members": ["nobody"]}]
     with pytest.raises(ScenarioExecutionError):
-        run_scenarios([good, bad], parallel=2, analysis="online")
+        run_scenarios([good, bad], parallel=2)
 
 
 def test_failed_sweep_cell_keeps_its_grid_position():

@@ -141,7 +141,7 @@ def test_profile_registry_resolves_and_rejects():
 # The open-loop client across stacks
 # ----------------------------------------------------------------------
 def _run_client(stack, profile_name, seed=21):
-    session = Session(stack, config=FAST, analysis="online", seed=3)
+    session = Session(stack, config=FAST, seed=3)
     session.spawn(["P1", "P2", "P3", "P4"])
     session.group("g")
     client = session.attach_client(
@@ -185,7 +185,7 @@ def test_client_backpressure_records_blocked_sends():
     """A tight flow-control window under high offered load must show up as
     offered > admitted -- the backpressure-aware accounting."""
     session = Session(
-        "newtop", config=dict(FAST, flow_control_window=1), analysis="online", seed=5
+        "newtop", config=dict(FAST, flow_control_window=1), seed=5
     )
     session.spawn(["P1", "P2", "P3"])
     session.group("g")
@@ -220,7 +220,7 @@ def test_scenario_workload_profile_runs_open_loop():
         "events": [{"time": 5.0, "kind": "crash", "targets": ["P006"]}],
         "drain": 30.0,
     }
-    result = run_scenario(config, analysis="online")
+    result = run_scenario(config)
     assert result.passed, result.checks.violations
     assert result.workload is not None
     assert result.workload["profile"] == "poisson"
